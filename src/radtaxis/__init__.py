@@ -24,7 +24,6 @@ from .grid import (
     integrate,
     lp_integral,
     lp_norm,
-    write_profile_csv,
     write_state_csv,
 )
 from .lab import (
@@ -87,5 +86,5 @@ __all__ = [
     "lp_integral", "lp_norm", "paired_separation", "parse_config", "parse_plan",
     "read_table", "render_svg", "run_case", "run_sweep", "sample_initial",
     "solve_v", "step", "unit_ball_volume", "verify_suite", "vr_from_integral",
-    "write_profile_csv", "write_state_csv", "write_sweep_csv", "write_trace_csv",
+    "write_state_csv", "write_sweep_csv", "write_trace_csv",
 ]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError, RadtaxisError
@@ -67,13 +68,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     report = run_case(config)
     write_trace_csv(report.records, config.lp_exponents, out_dir / "trace.csv")
     write_report(report, out_dir / "report.txt")
-
-    from .stepper import initial_state
-
-    state0 = initial_state(config)
+    state0 = report.initial_state
     write_state_csv(out_dir / "snapshot_initial.csv", state0.u.grid,
                     state0.u.values, state0.elliptic.v.values)
-    if report.steps > 0 and report.final_state is not None:
+    if report.steps > 0:
         final = report.final_state
         write_state_csv(out_dir / "snapshot_final.csv", final.u.grid,
                         final.u.values, final.elliptic.v.values)
@@ -85,10 +83,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     plan = parse_plan(args.plan)
     if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError("--workers must be >= 1")
-        from dataclasses import replace
-
         plan = replace(plan, workers=args.workers)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -21,23 +21,6 @@ from .grid import RadialProfile, require_same_grid
 
 _RESIDUAL_TOL = 1e-12
 
-# Face conductances A/dr with the origin face zeroed, cached per grid since
-# every transport step re-solves the signal on the same mesh.
-_conductance_cache: dict[int, tuple] = {}
-
-
-def _conductances(grid) -> np.ndarray:
-    entry = _conductance_cache.get(id(grid))
-    if entry is not None and entry[0] is grid:
-        return entry[1]
-    w0 = grid.face_areas / grid.dr
-    w0 = np.concatenate(([0.0], w0[1:]))
-    w0.flags.writeable = False
-    if len(_conductance_cache) > 64:
-        _conductance_cache.clear()
-    _conductance_cache[id(grid)] = (grid, w0)
-    return w0
-
 
 @dataclass(frozen=True)
 class EllipticSolution:
@@ -64,9 +47,7 @@ def solve_v(u: RadialProfile, boundary: BoundaryDatum) -> EllipticSolution:
     dr = grid.dr
     M = boundary.M
 
-    # Face conductances A/dr; the origin face never carries flux (zero area
-    # for n >= 2, symmetry for n = 1).
-    w0 = _conductances(grid)
+    w0 = grid.conductances
 
     diag = -(w0[:-1] + w0[1:]) - grid.volumes * u.values
     diag[-1] -= w0[-1]  # ghost reflection doubles the boundary conductance

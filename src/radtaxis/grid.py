@@ -21,7 +21,8 @@ from .model import Geometry
 class RadialGrid:
     """Uniform cell-centered mesh: faces at i*dr, centers at (i - 1/2)*dr."""
 
-    __slots__ = ("geometry", "n_cells", "dr", "face_radii", "center_radii", "volumes", "face_areas")
+    __slots__ = ("geometry", "n_cells", "dr", "face_radii", "center_radii", "volumes", "face_areas",
+                 "conductances")
 
     def __init__(self, geometry: Geometry, n_cells: int):
         if n_cells < 2:
@@ -36,7 +37,11 @@ class RadialGrid:
         omega = geometry.surface_coefficient
         self.volumes = (omega / n) * np.diff(self.face_radii ** n)
         self.face_areas = omega * self.face_radii ** (n - 1)
-        for arr in (self.face_radii, self.center_radii, self.volumes, self.face_areas):
+        # Face conductances A/dr; the origin face never carries flux (zero
+        # area for n >= 2, symmetry for n = 1).
+        conductances = self.face_areas / self.dr
+        self.conductances = np.concatenate(([0.0], conductances[1:]))
+        for arr in (self.face_radii, self.center_radii, self.volumes, self.face_areas, self.conductances):
             arr.flags.writeable = False
 
     def __eq__(self, other: object) -> bool:
@@ -66,9 +71,6 @@ class RadialProfile:
             raise GridMismatchError(
                 f"profile has {self.values.shape} values for a {self.grid.n_cells}-cell grid"
             )
-
-    def copy(self) -> "RadialProfile":
-        return RadialProfile(self.grid, self.values.copy())
 
 
 def require_same_grid(a: RadialProfile, b: RadialProfile) -> None:
@@ -108,18 +110,8 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_profile_csv(profile: RadialProfile, path: str | Path) -> None:
-    """Profile snapshot: columns r,value, one row per cell."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "value"])
-        for r, v in zip(profile.grid.center_radii, profile.values):
-            writer.writerow([format_float(r), format_float(v)])
-
-
 def write_state_csv(path: str | Path, grid: RadialGrid, u: np.ndarray, v: np.ndarray) -> None:
-    """Simulation snapshot: the profile format with an added v column (r,value,v)."""
+    """Simulation snapshot: columns r,value,v, one row per cell."""
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

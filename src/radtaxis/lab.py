@@ -34,7 +34,11 @@ from .model import (
     Geometry,
     InitialData,
     RunConfig,
+    _parse_float,
+    _parse_floats,
+    _parse_int,
     load_config,
+    parse_flat_keys,
     parse_initial,
 )
 from .stepper import (
@@ -158,7 +162,8 @@ class CaseReport:
     steps: int
     wall_time_s: float
     checks: list[CheckResult]
-    final_state: SimState | None = None
+    initial_state: SimState
+    final_state: SimState
 
 
 def _plateaued(records: Sequence[TraceRecord], t_end: float) -> bool:
@@ -228,6 +233,7 @@ def run_case(config: RunConfig) -> CaseReport:
         steps=last_step,
         wall_time_s=time.perf_counter() - start,
         checks=checker.summaries(failed_check),
+        initial_state=state0,
         final_state=last_state,
     )
 
@@ -296,18 +302,8 @@ def paired_separation(config: RunConfig, eps: float, steps: int):
     """
     base = initial_state(config)
     grid = base.u.grid
-    r = grid.center_radii
-    bump = np.cos(0.5 * math.pi * r / config.geometry.R) ** 2
-    perturbed_u = RadialProfile(grid, base.u.values + eps * bump)
-    twin = SimState(
-        t=0.0,
-        dt=0.0,
-        step_index=0,
-        u=perturbed_u,
-        elliptic=solve_v(perturbed_u, config.boundary),
-        initial_mass=integrate(perturbed_u),
-        min_u_watermark=float(np.min(perturbed_u.values)),
-    )
+    bump = np.cos(0.5 * math.pi * grid.center_radii / config.geometry.R) ** 2
+    twin = initial_state(config, RadialProfile(grid, base.u.values + eps * bump))
     resolved = replace(config, u_max_threshold=math.inf, dt_min=1e-300)
 
     ts = [0.0]
@@ -599,100 +595,54 @@ def write_sweep_timings(rows: Sequence[SweepRow], path: str | Path) -> None:
             writer.writerow([format_float(row.alpha), row.data_id, f"{row.wall_ms:.3f}"])
 
 
+_PLAN_KEYS = frozenset(["base", "alphas", "workers", "t_end", "u_max_threshold", "variant"])
+
+
 def parse_plan(path: str | Path) -> SweepPlan:
     """Parse a sweep plan file.
 
-    Flat `key = value` lines (base, alphas, workers, t_end, u_max_threshold)
-    plus one `variant = <id> <kind> key=value...` line per data variant; the
+    The config syntax (base, alphas, workers, t_end, u_max_threshold) plus
+    one `variant = <id> <kind> key=value...` line per data variant; the
     base path is resolved relative to the plan file.
     """
     path = Path(path)
     source = str(path)
-    plain: dict[str, str] = {}
-    variant_lines: list[str] = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key == "variant":
-            variant_lines.append(value)
-            continue
-        if key in plain:
-            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        plain[key] = value
-
-    allowed = {"base", "alphas", "workers", "t_end", "u_max_threshold"}
-    unknown = sorted(set(plain) - allowed)
-    if unknown:
-        raise ConfigError(f"{source}: unknown key {unknown[0]!r}")
-    if "base" not in plain:
-        raise ConfigError(f"{source}: missing required key 'base'")
-    if "alphas" not in plain:
-        raise ConfigError(f"{source}: missing required key 'alphas'")
-    if not variant_lines:
-        raise ConfigError(f"{source}: at least one 'variant' line is required")
-
-    base = load_config((path.parent / plain["base"]).resolve())
-    try:
-        alphas = tuple(float(tok) for tok in plain["alphas"].split(","))
-    except ValueError as exc:
-        raise ConfigError(f"{source}: 'alphas' must be a comma-separated list of numbers") from exc
-
-    variants = tuple(_parse_variant(entry, base.geometry, source) for entry in variant_lines)
+    entries = parse_flat_keys(path.read_text(encoding="utf-8"), source, _PLAN_KEYS,
+                              ("base", "alphas", "variant"), repeatable={"variant"})
+    base = load_config((path.parent / entries["base"]).resolve())
     return SweepPlan(
         base=base,
-        alphas=alphas,
-        variants=variants,
-        workers=int(plain["workers"]) if "workers" in plain else 1,
-        t_end=float(plain["t_end"]) if "t_end" in plain else None,
-        u_max_threshold=float(plain["u_max_threshold"]) if "u_max_threshold" in plain else None,
+        alphas=_parse_floats(entries, "alphas", source),
+        variants=tuple(_parse_variant(line, base.geometry, source) for line in entries["variant"]),
+        workers=_parse_int(entries, "workers", source) if "workers" in entries else 1,
+        t_end=_parse_float(entries, "t_end", source) if "t_end" in entries else None,
+        u_max_threshold=_parse_float(entries, "u_max_threshold", source) if "u_max_threshold" in entries else None,
     )
-
-
-_VARIANT_KIND_KEYS = {
-    "constant": frozenset(["mass"]),
-    "gaussian": frozenset(["mass", "width", "center"]),
-    "annulus": frozenset(["mass", "r_lo", "r_hi"]),
-}
-_VARIANT_EXTRA_KEYS = frozenset(["t_end", "u_max_threshold"])
 
 
 def _parse_variant(line: str, geometry: Geometry, source: str) -> SweepVariant:
+    """`<id> <kind> key=value...`: a token `mass=2` is the config key `initial.mass`."""
     tokens = line.split()
     if len(tokens) < 2:
         raise ConfigError(f"{source}: variant needs '<id> <kind> key=value...', got {line!r}")
-    data_id, kind = tokens[0], tokens[1].lower()
-    if kind not in _VARIANT_KIND_KEYS:
-        raise ConfigError(
-            f"{source}: variant kind must be constant, gaussian, or annulus, got {kind!r}"
-        )
-    allowed = _VARIANT_KIND_KEYS[kind] | _VARIANT_EXTRA_KEYS
-    params: dict[str, float] = {}
+    data_id = tokens[0]
+    source = f"{source}: variant {data_id!r}"
+    entries = {"initial.kind": tokens[1]}
     for token in tokens[2:]:
         if "=" not in token:
-            raise ConfigError(f"{source}: variant parameter {token!r} is not key=value")
+            raise ConfigError(f"{source}: parameter {token!r} is not key=value")
         key, value = token.split("=", 1)
-        if key not in allowed:
-            raise ConfigError(
-                f"{source}: key {key!r} does not apply to a {kind} variant"
-            )
-        try:
-            params[key] = float(value)
-        except ValueError as exc:
-            raise ConfigError(f"{source}: variant key {key!r} is not a number: {value!r}") from exc
-    missing = sorted(_VARIANT_KIND_KEYS[kind] - set(params))
-    if missing:
-        raise ConfigError(f"{source}: variant {data_id!r} is missing key {missing[0]!r}")
-
-    t_end = params.pop("t_end", None)
-    threshold = params.pop("u_max_threshold", None)
-    initial = parse_initial(
-        kind, {f"initial.{k}": v for k, v in params.items()}, geometry, source
+        if key not in ("t_end", "u_max_threshold"):
+            key = f"initial.{key}"
+        if key in entries:
+            raise ConfigError(f"{source}: duplicate key {key!r}")
+        entries[key] = value
+    return SweepVariant(
+        data_id=data_id,
+        initial=parse_initial(entries, geometry, source),
+        t_end=_parse_float(entries, "t_end", source) if "t_end" in entries else None,
+        u_max_threshold=_parse_float(entries, "u_max_threshold", source) if "u_max_threshold" in entries else None,
     )
-    return SweepVariant(data_id=data_id, initial=initial, t_end=t_end, u_max_threshold=threshold)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Collection, Sequence, Union
 
 import numpy as np
 
@@ -85,14 +85,6 @@ class DiffusionLaw:
     def eval_unchecked(self, xi: np.ndarray) -> np.ndarray:
         """eval() without the domain guard, for hot paths that clamp first."""
         return self.kappa * (xi + 1.0) ** (-self.alpha)
-
-    def deriv(self, xi):
-        """D'(xi) = -alpha * kappa * (xi + 1)^(-alpha - 1)."""
-        xi = np.asarray(xi, dtype=float)
-        if xi.size and np.min(xi) < 0.0:
-            raise DomainError("D' evaluated at negative density; scheme positivity is broken")
-        out = -self.alpha * self.kappa * (xi + 1.0) ** (-self.alpha - 1.0)
-        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -180,15 +172,6 @@ def sample_initial(data: InitialData, grid: "RadialGrid") -> "RadialProfile":
     """
     from .grid import RadialProfile, integrate
 
-    if isinstance(data, (GaussianBump, AnnulusBump)):
-        geom = grid.geometry
-        if isinstance(data, GaussianBump) and not data.center_radius < geom.R:
-            raise ConfigError(
-                f"bump center radius {data.center_radius} must be < R = {geom.R}"
-            )
-        if isinstance(data, AnnulusBump) and not data.r_hi <= geom.R:
-            raise ConfigError(f"annulus outer radius {data.r_hi} must be <= R = {geom.R}")
-
     if isinstance(data, ConstantData):
         # Cell average of a constant is the constant; no quadrature error in any n.
         values = np.full(grid.n_cells, data.value)
@@ -255,10 +238,11 @@ class RunConfig:
         for p in self.lp_exponents:
             if not (math.isfinite(p) and p > 1.0):
                 raise ConfigError(f"lp exponents must be finite and > 1, got {p!r}")
-        if isinstance(self.initial, GaussianBump) and not self.initial.center_radius < self.geometry.R:
-            raise ConfigError("initial.center must be < R")
-        if isinstance(self.initial, AnnulusBump) and not self.initial.r_hi <= self.geometry.R:
-            raise ConfigError("initial.r_hi must be <= R")
+        R = self.geometry.R
+        if isinstance(self.initial, GaussianBump) and not self.initial.center_radius < R:
+            raise ConfigError(f"bump center radius {self.initial.center_radius} must be < R = {R}")
+        if isinstance(self.initial, AnnulusBump) and not self.initial.r_hi <= R:
+            raise ConfigError(f"annulus outer radius {self.initial.r_hi} must be <= R = {R}")
 
 
 # Flat config-file vocabulary; anything else is a hard error.
@@ -279,21 +263,34 @@ _KIND_KEYS = {
 }
 
 
-def parse_flat_keys(text: str, source: str = "<config>") -> dict[str, str]:
-    """Parse `key = value` lines; '#' starts a comment; duplicate keys are errors."""
-    entries: dict[str, str] = {}
+def parse_flat_keys(text: str, source: str, allowed: Collection[str], required: Sequence[str],
+                    repeatable: Collection[str] = frozenset()) -> dict[str, str | list[str]]:
+    """Parse `key = value` lines against a key vocabulary; '#' starts a comment.
+
+    A key in `repeatable` maps to the list of its values in file order; any
+    other key may appear once. Keys outside `allowed`, and keys of
+    `required` that never appear, are errors.
+    """
+    entries: dict[str, str | list[str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        value = value.strip()
-        if key in entries:
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in repeatable:
+            entries.setdefault(key, []).append(value)
+        elif key in entries:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        entries[key] = value
+        else:
+            entries[key] = value
+    unknown = sorted(set(entries) - set(allowed))
+    if unknown:
+        raise ConfigError(f"{source}: unknown key {unknown[0]!r}")
+    missing = [k for k in required if k not in entries]
+    if missing:
+        raise ConfigError(f"{source}: missing required key {missing[0]!r}")
     return entries
 
 
@@ -312,78 +309,56 @@ def _parse_int(entries: dict[str, str], key: str, source: str) -> int:
         raise ConfigError(f"{source}: key {key!r} is not an integer: {raw!r}") from exc
 
 
-def parse_initial(kind: str, params: dict[str, float], geometry: Geometry, source: str = "<config>") -> InitialData:
-    """Build initial data from config-level parameters.
+def _parse_floats(entries: dict[str, str], key: str, source: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(tok) for tok in entries[key].split(","))
+    except ValueError as exc:
+        raise ConfigError(f"{source}: key {key!r} must be a comma-separated list of numbers") from exc
 
-    For kind=constant the `mass` parameter is the total mass; the constant
-    level is mass / |Omega|.
+
+def parse_initial(entries: dict[str, str], geometry: Geometry, source: str) -> InitialData:
+    """Build initial data from the `initial.*` entries of a config or plan variant.
+
+    Other keys in `entries` are ignored. Every `initial.*` key must belong
+    to initial.kind. For kind=constant the mass is the total mass; the
+    constant level is mass / |Omega|.
     """
-    if kind == "constant":
-        return ConstantData(value=params["initial.mass"] / geometry.domain_volume)
-    if kind == "gaussian":
-        return GaussianBump(
-            mass=params["initial.mass"],
-            width=params["initial.width"],
-            center_radius=params["initial.center"],
-        )
-    if kind == "annulus":
-        return AnnulusBump(
-            mass=params["initial.mass"],
-            r_lo=params["initial.r_lo"],
-            r_hi=params["initial.r_hi"],
-        )
-    raise ConfigError(f"{source}: initial.kind must be constant, gaussian, or annulus, got {kind!r}")
-
-
-def parse_config(text: str, source: str = "<config>") -> RunConfig:
-    """Parse the flat key=value run-config format."""
-    entries = parse_flat_keys(text, source)
-
-    unknown = sorted(set(entries) - _CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"{source}: unknown key {unknown[0]!r}")
-    missing = [k for k in _REQUIRED_KEYS if k not in entries]
-    if missing:
-        raise ConfigError(f"{source}: missing required key {missing[0]!r}")
-
     kind = entries["initial.kind"].lower()
     if kind not in _KIND_KEYS:
         raise ConfigError(f"{source}: initial.kind must be constant, gaussian, or annulus, got {kind!r}")
     needed = _KIND_KEYS[kind]
-    present_initial = {k for k in entries if k.startswith("initial.") and k != "initial.kind"}
-    for k in sorted(needed - present_initial):
+    present = {k for k in entries if k.startswith("initial.") and k != "initial.kind"}
+    for k in sorted(needed - present):
         raise ConfigError(f"{source}: initial.kind={kind} requires key {k!r}")
-    for k in sorted(present_initial - needed):
+    for k in sorted(present - needed):
         raise ConfigError(f"{source}: key {k!r} does not apply to initial.kind={kind}")
+    p = {k.removeprefix("initial."): _parse_float(entries, k, source) for k in needed}
+    if kind == "constant":
+        return ConstantData(value=p["mass"] / geometry.domain_volume)
+    if kind == "gaussian":
+        return GaussianBump(mass=p["mass"], width=p["width"], center_radius=p["center"])
+    return AnnulusBump(mass=p["mass"], r_lo=p["r_lo"], r_hi=p["r_hi"])
 
+
+def parse_config(text: str, source: str = "<config>") -> RunConfig:
+    """Parse the flat key=value run-config format."""
+    entries = parse_flat_keys(text, source, _CONFIG_KEYS, _REQUIRED_KEYS)
     geometry = Geometry(n=_parse_int(entries, "n", source), R=_parse_float(entries, "R", source))
-    diffusion = DiffusionLaw(
-        alpha=_parse_float(entries, "alpha", source),
-        kappa=_parse_float(entries, "kappa", source),
-    )
-    boundary = BoundaryDatum(M=_parse_float(entries, "M", source))
-    params = {k: _parse_float(entries, k, source) for k in needed}
-    initial = parse_initial(kind, params, geometry, source)
-
-    lp: tuple[float, ...] = ()
-    if "lp" in entries and entries["lp"]:
-        try:
-            lp = tuple(float(tok) for tok in entries["lp"].split(","))
-        except ValueError as exc:
-            raise ConfigError(f"{source}: key 'lp' must be a comma-separated list of numbers") from exc
-
     return RunConfig(
         geometry=geometry,
-        diffusion=diffusion,
-        boundary=boundary,
-        initial=initial,
+        diffusion=DiffusionLaw(
+            alpha=_parse_float(entries, "alpha", source),
+            kappa=_parse_float(entries, "kappa", source),
+        ),
+        boundary=BoundaryDatum(M=_parse_float(entries, "M", source)),
+        initial=parse_initial(entries, geometry, source),
         cells=_parse_int(entries, "cells", source),
         t_end=_parse_float(entries, "t_end", source),
         cfl_safety=_parse_float(entries, "cfl_safety", source) if "cfl_safety" in entries else 0.4,
         u_max_threshold=_parse_float(entries, "u_max_threshold", source) if "u_max_threshold" in entries else None,
         dt_min=_parse_float(entries, "dt_min", source) if "dt_min" in entries else None,
         output_stride=_parse_int(entries, "output_stride", source) if "output_stride" in entries else 1,
-        lp_exponents=lp,
+        lp_exponents=_parse_floats(entries, "lp", source) if entries.get("lp") else (),
     )
 
 

@@ -71,10 +71,11 @@ class TraceRecord:
 Recorder = Callable[[TraceRecord, SimState], None]
 
 
-def initial_state(config: RunConfig) -> SimState:
-    """Sample u0, solve the signal once, and package the t = 0 state."""
-    grid = RadialGrid(config.geometry, config.cells)
-    u0 = sample_initial(config.initial, grid)
+def initial_state(config: RunConfig, u0: RadialProfile | None = None) -> SimState:
+    """Package the t = 0 state: u0 (sampled from config.initial unless
+    given), its signal solve, its mass and its minimum."""
+    if u0 is None:
+        u0 = sample_initial(config.initial, RadialGrid(config.geometry, config.cells))
     elliptic = solve_v(u0, config.boundary)
     return SimState(
         t=0.0,

@@ -33,7 +33,7 @@ from radtaxis import (
     step,
     vr_from_integral,
 )
-from radtaxis.lab import sweep_csv_lines, trace_csv_lines
+from radtaxis.lab import _ls_order, _oracle_error, sweep_csv_lines, trace_csv_lines
 from radtaxis.model import GaussianBump, RunConfig
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -44,17 +44,6 @@ def emit(number: int, name: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {number:02d} {name}: {status} {detail}".rstrip())
     assert ok, f"criterion {number} ({name}) failed: {detail}"
-
-
-def ls_order(cells, errors):
-    return float(np.polyfit(np.log(1.0 / np.asarray(cells, float)), np.log(errors), 1)[0])
-
-
-def constant_case_error(n, level, cells, exact):
-    grid = RadialGrid(Geometry(n, 1.0), cells)
-    u = RadialProfile(grid, np.full(cells, float(level)))
-    solution = solve_v(u, BoundaryDatum(1.0))
-    return float(np.max(np.abs(solution.v.values - exact(grid.center_radii))))
 
 
 @pytest.fixture(scope="module")
@@ -70,9 +59,9 @@ def trajectory():
 def test_criterion_1_elliptic_oracle_n1():
     start = time.perf_counter()
     exact = lambda r: np.cosh(r) / math.cosh(1.0)  # noqa: E731
-    errors = [constant_case_error(1, 1.0, cells, exact) for cells in LADDER]
+    errors = [_oracle_error(1, 1.0, cells, exact) for cells in LADDER]
     err_256 = errors[LADDER.index(256)]
-    order = ls_order(LADDER, errors)
+    order = _ls_order(LADDER, errors)
     wall = time.perf_counter() - start
     emit(1, "elliptic_oracle_n1",
          err_256 < 1e-4 and order >= 1.9 and wall < 1.0,
@@ -81,8 +70,8 @@ def test_criterion_1_elliptic_oracle_n1():
 
 def test_criterion_2_elliptic_oracle_n3():
     exact = lambda r: np.sinh(2.0 * r) / (r * math.sinh(2.0))  # noqa: E731
-    errors = [constant_case_error(3, 4.0, cells, exact) for cells in LADDER]
-    order = ls_order(LADDER, errors)
+    errors = [_oracle_error(3, 4.0, cells, exact) for cells in LADDER]
+    order = _ls_order(LADDER, errors)
     emit(2, "elliptic_oracle_n3", order >= 1.9, f"order={order:.3f}")
 
 
@@ -130,7 +119,7 @@ def test_criterion_4_integral_representation():
         solution = solve_v(u, BoundaryDatum(1.0))
         gap = solution.vr_faces - vr_from_integral(u, solution.v)
         gaps.append(math.sqrt(float(np.sum(grid.face_areas * grid.dr * gap ** 2))))
-    order = ls_order(LADDER, gaps)
+    order = _ls_order(LADDER, gaps)
     emit(4, "gradient_representation",
          exact_gap <= 1e-11 and order >= 1.5,
          f"n2_gap={exact_gap:.2e} n3_L2_order={order:.3f}")

@@ -14,7 +14,7 @@ from radtaxis import (
     lp_integral,
     lp_norm,
     unit_ball_volume,
-    write_profile_csv,
+    write_state_csv,
 )
 
 
@@ -121,14 +121,16 @@ def test_profile_shape_mismatch():
 
 def test_profile_csv_format(tmp_path):
     grid = RadialGrid(Geometry(2, 1.0), 16)
-    profile = RadialProfile(grid, np.linspace(0.0, 1.0, 16))
+    u = np.linspace(0.0, 1.0, 16)
+    v = np.sqrt(np.linspace(0.5, 1.0, 16))
     out = tmp_path / "profile.csv"
-    write_profile_csv(profile, out)
+    write_state_csv(out, grid, u, v)
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "r,value"
+    assert lines[0] == "r,value,v"
     assert len(lines) == 17
-    r0, v0 = lines[1].split(",")
+    r0, u0, _ = lines[1].split(",")
     assert float(r0) == pytest.approx(grid.center_radii[0])
-    assert float(v0) == 0.0
+    assert float(u0) == 0.0
     # 17 significant digits survive a round trip
-    assert float(lines[5].split(",")[1]) == profile.values[4]
+    assert float(lines[5].split(",")[1]) == u[4]
+    assert float(lines[5].split(",")[2]) == v[4]

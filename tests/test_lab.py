@@ -288,6 +288,29 @@ class TestPlanParsing:
         with pytest.raises(ConfigError, match="width"):
             parse_plan(tmp_path / "p.plan")
 
+    @pytest.mark.parametrize("line", ["workers = two", "t_end = soon", "u_max_threshold = big"])
+    def test_malformed_plan_number_names_key(self, tmp_path, line):
+        from radtaxis.model import config_to_text
+
+        (tmp_path / "base.cfg").write_text(config_to_text(make_config()))
+        (tmp_path / "p.plan").write_text(
+            f"base = base.cfg\nalphas = 1\nvariant = a constant mass=1\n{line}\n"
+        )
+        with pytest.raises(ConfigError, match=line.split()[0]):
+            parse_plan(tmp_path / "p.plan")
+
+    @pytest.mark.parametrize("line,flags", [("workers = two", []), ("", ["--workers", "0"])])
+    def test_malformed_worker_count_exits_2(self, tmp_path, line, flags):
+        from radtaxis.cli import main
+        from radtaxis.model import config_to_text
+
+        (tmp_path / "base.cfg").write_text(config_to_text(make_config()))
+        (tmp_path / "p.plan").write_text(
+            f"base = base.cfg\nalphas = 1\nvariant = a constant mass=1\n{line}\n"
+        )
+        argv = ["sweep", "--plan", str(tmp_path / "p.plan"), "--out", str(tmp_path / "out")]
+        assert main(argv + flags) == 2
+
 
 class TestPersistence:
     def test_trace_csv_layout(self):

@@ -41,33 +41,10 @@ class TestDiffusionLaw:
     def test_halving_at_one(self):
         assert DiffusionLaw(alpha=1.0, kappa=1.0).eval(1.0) == 0.5
 
-    def test_deriv_constant_law(self):
-        assert DiffusionLaw(alpha=0.0, kappa=1.0).deriv(5.0) == 0.0
-
-    def test_deriv_at_zero(self):
-        assert DiffusionLaw(alpha=1.0, kappa=1.0).deriv(0.0) == -1.0
-
-    def test_deriv_matches_centered_difference(self):
-        # independent finite-difference oracle, h = 1e-5; the stencil uses the
-        # closed form directly so it can reach xi - h < 0 at the left endpoint
-        alpha, kappa = 0.5, 2.0
-        law = DiffusionLaw(alpha=alpha, kappa=kappa)
-        d = lambda x: kappa * (x + 1.0) ** (-alpha)  # noqa: E731
-        h = 1e-5
-        for xi in (0.0, 0.5, 1.0, 10.0, 1000.0):
-            fd = (d(xi + h) - d(xi - h)) / (2.0 * h)
-            assert law.deriv(xi) == pytest.approx(fd, rel=1e-6)
-
-    def test_deriv_specific_value(self):
-        # alpha=0.5, kappa=2, xi=3: -0.5*2*(4)^(-1.5) = -0.125
-        assert DiffusionLaw(alpha=0.5, kappa=2.0).deriv(3.0) == pytest.approx(-0.125, rel=1e-12)
-
     def test_negative_argument_rejected(self):
         law = DiffusionLaw(alpha=0.5, kappa=1.0)
         with pytest.raises(DomainError):
             law.eval(-0.1)
-        with pytest.raises(DomainError):
-            law.deriv(np.array([1.0, -2.0]))
 
     def test_invalid_kappa(self):
         with pytest.raises(ConfigError):
