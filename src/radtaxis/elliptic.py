@@ -35,9 +35,11 @@ def solve_v(u: RadialProfile, boundary: BoundaryDatum) -> EllipticSolution:
     """Solve the absorption equation for the current density profile.
 
     Flux form: A_{i+1/2} (v_{i+1} - v_i)/dr balanced against V_i u_i v_i in
-    every cell, direct tridiagonal elimination, no iteration. The face
-    gradients returned are exactly the differences the transport stepper
-    consumes, so both modules share one discrete gradient.
+    every cell, direct tridiagonal elimination, no iteration. The unknown
+    is the deficit w = M - v: the same matrix with right-hand side -M V u,
+    so zero density gives w = 0 and v = M exactly. The face gradients
+    returned are exactly the differences the transport stepper consumes, so
+    both modules share one discrete gradient.
     """
     if not np.isfinite(u.values).all():
         raise NumericalError("non-finite density passed to the signal solve")
@@ -49,10 +51,10 @@ def solve_v(u: RadialProfile, boundary: BoundaryDatum) -> EllipticSolution:
 
     w0 = grid.conductances
 
-    diag = -(w0[:-1] + w0[1:]) - grid.volumes * u.values
+    vu = grid.volumes * u.values
+    diag = -(w0[:-1] + w0[1:]) - vu
     diag[-1] -= w0[-1]  # ghost reflection doubles the boundary conductance
-    rhs = np.zeros(n_cells)
-    rhs[-1] = -2.0 * w0[-1] * M
+    rhs = -M * vu
 
     # Scale rows to O(1) so the residual tolerance is resolution-independent.
     scale = -1.0 / diag
@@ -62,13 +64,13 @@ def solve_v(u: RadialProfile, boundary: BoundaryDatum) -> EllipticSolution:
     ab[2, :-1] = w0[1:-1] * scale[1:]   # subdiagonal
     b = rhs * scale
     try:
-        v = solve_banded((1, 1), ab, b, check_finite=False)
+        w = solve_banded((1, 1), ab, b, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"tridiagonal elimination failed: {exc}") from exc
 
-    residual = -v - b
-    residual[:-1] += ab[0, 1:] * v[1:]
-    residual[1:] += ab[2, :-1] * v[:-1]
+    residual = -w - b
+    residual[:-1] += ab[0, 1:] * w[1:]
+    residual[1:] += ab[2, :-1] * w[:-1]
     worst = float(np.abs(residual).max())
     if not worst <= _RESIDUAL_TOL * M:
         raise SingularSystemError(
@@ -77,8 +79,9 @@ def solve_v(u: RadialProfile, boundary: BoundaryDatum) -> EllipticSolution:
 
     vr = np.empty(n_cells + 1)
     vr[0] = 0.0
+    v = M - w
     vr[1:-1] = (v[1:] - v[:-1]) / dr
-    vr[-1] = 2.0 * (M - v[-1]) / dr
+    vr[-1] = 2.0 * w[-1] / dr
     return EllipticSolution(v=RadialProfile(grid, v), vr_faces=vr, boundary_flux=float(vr[-1]))
 
 

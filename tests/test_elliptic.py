@@ -44,6 +44,11 @@ class TestSolve:
         assert np.max(np.abs(solution.v.values - 2.5)) <= 1e-12 * 2.5
         assert abs(solution.boundary_flux) <= 1e-12
 
+    def test_zero_density_is_exact_on_a_fine_grid(self):
+        solution = solve_v(constant_profile(2, 1.0, 4096, 0.0), BoundaryDatum(1.0))
+        assert np.all(solution.v.values == 1.0)
+        assert solution.boundary_flux == 0.0
+
     def test_cosh_oracle_n1(self):
         u = constant_profile(1, 1.0, 256, 1.0)
         solution = solve_v(u, BoundaryDatum(1.0))

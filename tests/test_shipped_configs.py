@@ -63,8 +63,10 @@ def test_blowup_simulation_trace_plots_on_log_axis(tmp_path):
     assert "log scale" in svg.read_text()
 
 
-def test_verify_on_shipped_default_config_exits_zero(capsys):
-    code = main(["verify", "--config", str(CONFIG_DIR / "default.cfg")])
+@pytest.mark.parametrize("name", ["default.cfg", "default_n3.cfg", "acceptance_trajectory.cfg",
+                                  "blowup_alpha2_n2.cfg"])
+def test_verify_on_shipped_default_config_exits_zero(name, capsys):
+    code = main(["verify", "--config", str(CONFIG_DIR / name)])
     out = capsys.readouterr().out
     assert code == 0
     assert all(" pass " in line for line in out.splitlines() if line.startswith("CHECK"))
