@@ -1,11 +1,14 @@
 """Explicit conservative transport of the density profile.
 
 One step: face fluxes (central diffusion, donor-cell drift), forward-Euler
-update, round-off-scale negativity repair, fresh signal solve. Interior
-fluxes telescope and both boundary faces carry exactly zero flux, so total
-mass is conserved to round-off at every step. dt collapse and sup-norm
-runaway terminate through StepOutcome instead of exceptions, because they
-double as the blow-up detector.
+update, round-off-scale negativity repair, fresh signal solve. dt comes
+from the exact per-cell positivity bound (`cfl_dt`), under which every new
+value is a nonnegative combination of the old ones in any dimension; an
+undershoot past round-off is therefore a numerical failure, not something
+to retry. Interior fluxes telescope and both boundary faces carry exactly
+zero flux, so total mass is conserved to round-off at every step. dt
+collapse and sup-norm runaway terminate through StepOutcome instead of
+exceptions, because they double as the blow-up detector.
 """
 from __future__ import annotations
 
@@ -108,24 +111,22 @@ def face_flux(u: RadialProfile, vr_faces: np.ndarray, law: DiffusionLaw) -> np.n
 
 
 def cfl_dt(u: RadialProfile, vr_faces: np.ndarray, law: DiffusionLaw, cfl_safety: float) -> float:
-    """Stable step: cfl_safety * min(dr^2 / (2 max D), dr / max |vr|)."""
+    """Positivity bound: cfl_safety * min_i V_i / out_i.
+
+    out_i is cell i's outflow rate per unit density, a_{i-1/2} + a_{i+1/2} +
+    A_{i+1/2} max(vr_{i+1/2}, 0) + A_{i-1/2} max(-vr_{i-1/2}, 0) with
+    a = (A / dr) D(u_face), summed over interior faces only. Up to this dt the
+    forward-Euler update is a nonnegative combination of the old values.
+    """
     values = u.values
     grid = u.grid
     u_face = np.maximum(0.5 * (values[:-1] + values[1:]), 0.0)
-    d_max = float(law.eval_unchecked(u_face).max()) if u_face.size else law.eval(0.0)
-    dt = grid.dr ** 2 / (2.0 * d_max)
-    vr_max = float(np.abs(vr_faces).max())
-    if vr_max > 0.0:
-        dt = min(dt, grid.dr / vr_max)
-    return cfl_safety * dt
-
-
-def _attempt_update(state: SimState, flux: np.ndarray, dt: float, grid: RadialGrid):
-    u_new = state.u.values + (dt / grid.volumes) * (flux[1:] - flux[:-1])
-    if not np.isfinite(u_new).all():
-        where = int(np.flatnonzero(~np.isfinite(u_new))[0])
-        return None, where
-    return u_new, None
+    a = grid.conductances[1:-1] * law.eval_unchecked(u_face)
+    area_vr = grid.face_areas[1:-1] * vr_faces[1:-1]
+    out = np.zeros(grid.n_cells)
+    out[:-1] = a + np.maximum(area_vr, 0.0)
+    out[1:] += a + np.maximum(-area_vr, 0.0)
+    return cfl_safety * float((grid.volumes / out).min())
 
 
 def step(state: SimState, config: RunConfig, dt: float) -> StepOutcome:
@@ -147,23 +148,20 @@ def step(state: SimState, config: RunConfig, dt: float) -> StepOutcome:
     except (NumericalError, ValueError) as exc:
         return StepOutcome(StepStatus.NUMERICAL_FAILURE, message=str(exc))
 
-    # Undershoots beyond round-off scale get one dt-halving retry.
-    used_dt = dt
-    u_new = None
-    pre_clip_min = 0.0
-    for attempt in (dt, 0.5 * dt):
-        candidate, bad_cell = _attempt_update(state, flux, attempt, grid)
-        if candidate is None:
-            return StepOutcome(StepStatus.NUMERICAL_FAILURE, measurement=float(bad_cell),
-                               message=f"non-finite density in cell {bad_cell}")
-        pre_clip_min = float(candidate.min())
-        linf = float(np.abs(candidate).max())
-        if pre_clip_min >= -_NEG_CLIP_REL * linf:
-            u_new, used_dt = candidate, attempt
-            break
-    if u_new is None:
+    u_new = state.u.values + (dt / grid.volumes) * (flux[1:] - flux[:-1])
+    # min and max propagate NaN and show an infinity, so they double as the
+    # finiteness check.
+    pre_clip_min = float(u_new.min())
+    linf_new = float(u_new.max())
+    if not (math.isfinite(pre_clip_min) and math.isfinite(linf_new)):
+        bad_cell = int(np.flatnonzero(~np.isfinite(u_new))[0])
+        return StepOutcome(StepStatus.NUMERICAL_FAILURE, measurement=float(bad_cell),
+                           message=f"non-finite density in cell {bad_cell}")
+    # Within the cfl_dt bound only round-off can undershoot zero.
+    if pre_clip_min < -_NEG_CLIP_REL * linf_new:
         return StepOutcome(StepStatus.NUMERICAL_FAILURE, measurement=pre_clip_min,
-                           message=f"negative density {pre_clip_min:.3e} persisted after dt halving")
+                           message=f"negative density {pre_clip_min:.3e}: dt {dt:.3e} "
+                                   "exceeded the positivity bound")
 
     # Clip round-off negatives and remove the added mass proportionally, so
     # positivity and conservation hold simultaneously.
@@ -174,8 +172,8 @@ def step(state: SimState, config: RunConfig, dt: float) -> StepOutcome:
         mass_now = float(np.dot(grid.volumes, u_new))
         if mass_now > 0.0:
             u_new *= (mass_now - clipped_mass) / mass_now
+        linf_new = float(u_new.max())
 
-    linf_new = float(u_new.max())
     if linf_new > threshold:
         return StepOutcome(StepStatus.THRESHOLD_EXCEEDED, measurement=linf_new,
                            message=f"sup norm {linf_new:.6e} exceeded threshold {threshold:.6e}")
@@ -187,8 +185,8 @@ def step(state: SimState, config: RunConfig, dt: float) -> StepOutcome:
         return StepOutcome(StepStatus.NUMERICAL_FAILURE, message=f"signal solve failed: {exc}")
 
     new_state = SimState(
-        t=state.t + used_dt,
-        dt=used_dt,
+        t=state.t + dt,
+        dt=dt,
         step_index=state.step_index + 1,
         u=u_profile,
         elliptic=elliptic,

@@ -21,6 +21,7 @@ from radtaxis import (
     face_flux,
     initial_state,
     integrate,
+    run_case,
     solve_v,
     step,
 )
@@ -41,16 +42,8 @@ def make_config(**overrides):
     return RunConfig(**fields)
 
 
-def drain_state(cells=16, level=1.0, vr_value=0.5):
-    """n=1 state with uniform density and a handmade constant drift field.
-
-    Fluxes are then known in closed form: every interior face carries
-    -2 * level * vr_value, so only the first and last cells change.
-    """
-    grid = RadialGrid(Geometry(1, 1.0), cells)
-    u = RadialProfile(grid, np.full(cells, level))
-    vr = np.zeros(cells + 1)
-    vr[1:-1] = vr_value
+def handmade_state(u, vr):
+    """State of density u whose drift field is vr instead of the signal's own."""
     elliptic = EllipticSolution(
         v=solve_v(u, BoundaryDatum(1.0)).v, vr_faces=vr, boundary_flux=0.0
     )
@@ -58,6 +51,18 @@ def drain_state(cells=16, level=1.0, vr_value=0.5):
         t=0.0, dt=0.0, step_index=0, u=u, elliptic=elliptic,
         initial_mass=integrate(u), min_u_watermark=0.0,
     )
+
+
+def drain_state(cells=16, level=1.0, vr_value=0.5):
+    """n=1 state with uniform density and a handmade constant drift field.
+
+    Fluxes are then known in closed form: every interior face carries
+    -2 * level * vr_value, so only the first and last cells change.
+    """
+    grid = RadialGrid(Geometry(1, 1.0), cells)
+    vr = np.zeros(cells + 1)
+    vr[1:-1] = vr_value
+    return handmade_state(RadialProfile(grid, np.full(cells, level)), vr)
 
 
 class TestFaceFlux:
@@ -131,7 +136,9 @@ class TestCflDt:
         u = RadialProfile(grid, np.zeros(64))
         vr = np.full(65, 100.0)
         law = DiffusionLaw(alpha=0.0, kappa=1e-9)
-        assert cfl_dt(u, vr, law, 1.0) == pytest.approx(grid.dr / 100.0)
+        # The origin cell drains through the one face r = dr alone:
+        # V_1 / (A_{3/2} vr) = pi dr^2 / (2 pi dr vr) = dr / (2 vr).
+        assert cfl_dt(u, vr, law, 1.0) == pytest.approx(grid.dr / (2.0 * 100.0))
 
 
 class TestStep:
@@ -173,16 +180,22 @@ class TestStep:
         assert new.min_u_watermark < 0.0
         assert integrate(new.u) == pytest.approx(state.initial_mass, rel=1e-13)
 
-    def test_undershoot_triggers_dt_halving(self):
+    def test_dt_beyond_the_bound_fails(self):
         state = drain_state()
         dr = state.u.grid.dr
         dt = (dr / 0.5) * 1.5  # drains 1.5x the first cell's content
         config = make_config(cells=16, geometry=Geometry(1, 1.0))
         outcome = step(state, config, dt)
+        assert outcome.status is StepStatus.NUMERICAL_FAILURE
+        assert outcome.state is None
+        assert outcome.measurement < 0.0
+        # The bound's own dt drains the same cell without undershooting.
+        dt = cfl_dt(state.u, state.elliptic.vr_faces, config.diffusion, 1.0)
+        outcome = step(state, config, dt)
         assert outcome.status is StepStatus.ADVANCED
-        assert outcome.state.dt == pytest.approx(dt / 2.0)
-        assert outcome.state.t == pytest.approx(dt / 2.0)
-        assert np.min(outcome.state.u.values) >= 0.0
+        assert outcome.state.dt == dt
+        assert outcome.state.min_u_watermark == 0.0
+        assert np.min(outcome.state.u.values) > 0.0
 
     def test_persistent_undershoot_fails(self):
         state = drain_state()
@@ -309,6 +322,37 @@ class TestDiffusionControl:
         distances = np.array(distances)
         assert np.all(np.diff(distances) <= 1e-14)
         assert distances[-1] < 0.2 * distances[0]
+
+
+class TestPositivityBound:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+    def test_drift_free_step_obeys_the_max_principle(self, n):
+        # With vr = 0 each new value at cfl_safety = 1 is a convex combination
+        # of old values, so a step makes neither a new maximum nor a new minimum.
+        rng = np.random.default_rng(7100 + n)
+        grid = RadialGrid(Geometry(n, 1.0), 64)
+        vr = np.zeros(grid.n_cells + 1)
+        for _ in range(20):
+            values = rng.uniform(0.0, 10.0, grid.n_cells)
+            law = DiffusionLaw(alpha=rng.uniform(-1.0, 3.0), kappa=10.0 ** rng.uniform(-2.0, 1.0))
+            config = make_config(geometry=grid.geometry, diffusion=law, cfl_safety=1.0)
+            state = handmade_state(RadialProfile(grid, values), vr)
+            outcome = step(state, config, cfl_dt(state.u, vr, law, 1.0))
+            assert outcome.status is StepStatus.ADVANCED
+            new = outcome.state.u.values
+            tol = 1e-12 * float(values.max())
+            assert float(new.max()) <= float(values.max()) + tol
+            assert float(new.min()) >= float(values.min()) - tol
+
+    @pytest.mark.parametrize("n, cfl_safety", [(3, 1.0), (4, 1.0), (8, 0.6), (8, 1.0)])
+    def test_centred_bump_stays_below_its_initial_peak(self, n, cfl_safety):
+        # alpha = 0 and a centred bump: diffusion and the outward drift both
+        # lower the central peak, so the sup norm never exceeds its initial value.
+        config = make_config(geometry=Geometry(n, 1.0), diffusion=DiffusionLaw(alpha=0.0, kappa=1.0),
+                             t_end=0.02, cfl_safety=cfl_safety)
+        report = run_case(config)
+        assert report.verdict.kind == "bounded"
+        assert report.peak_linf == report.records[0].linf
 
 
 def test_grid_convergence_subcritical_case():
