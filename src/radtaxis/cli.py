@@ -90,8 +90,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     write_sweep_csv(rows, out_dir / "sweep.csv")
     write_sweep_timings(rows, out_dir / "sweep_timings.csv")
     for row in rows:
+        detail = f" detail={row.detail}" if row.detail else ""
         print(f"alpha={row.alpha:g} data={row.data_id} verdict={row.verdict} "
-              f"wall={row.wall_ms:.0f}ms", file=sys.stderr)
+              f"wall={row.wall_ms:.0f}ms{detail}", file=sys.stderr)
     failed = any(row.verdict == TOLERANCE_FAILURE for row in rows)
     return EXIT_TOLERANCE if failed else EXIT_OK
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dptsv
 
 from .errors import DomainError, NumericalError, SingularSystemError
 from .model import BoundaryDatum, Geometry, unit_ball_volume
@@ -35,11 +35,11 @@ def solve_v(u: RadialProfile, boundary: BoundaryDatum) -> EllipticSolution:
     """Solve the absorption equation for the current density profile.
 
     Flux form: A_{i+1/2} (v_{i+1} - v_i)/dr balanced against V_i u_i v_i in
-    every cell, direct tridiagonal elimination, no iteration. The unknown
-    is the deficit w = M - v: the same matrix with right-hand side -M V u,
-    so zero density gives w = 0 and v = M exactly. The face gradients
-    returned are exactly the differences the transport stepper consumes, so
-    both modules share one discrete gradient.
+    every cell, one LAPACK dptsv solve of the negated symmetric tridiagonal
+    system, no iteration. The unknown is the deficit w = M - v, with
+    right-hand side M V u, so zero density gives w = 0 and v = M exactly.
+    The face gradients returned are exactly the differences the transport
+    stepper consumes, so both modules share one discrete gradient.
     """
     if not np.isfinite(u.values).all():
         raise NumericalError("non-finite density passed to the signal solve")
@@ -51,27 +51,21 @@ def solve_v(u: RadialProfile, boundary: BoundaryDatum) -> EllipticSolution:
 
     w0 = grid.conductances
 
+    # Negated system for w: symmetric positive definite when u >= 0.
     vu = grid.volumes * u.values
-    diag = -(w0[:-1] + w0[1:]) - vu
-    diag[-1] -= w0[-1]  # ghost reflection doubles the boundary conductance
-    rhs = -M * vu
+    d = w0[:-1] + w0[1:] + vu
+    d[-1] += w0[-1]  # ghost reflection doubles the boundary conductance
+    e = -w0[1:-1]
+    b = M * vu
+    _, _, w, info = dptsv(d, e, b)
+    if info != 0:
+        raise SingularSystemError(f"signal matrix is not positive definite (dptsv info {info})")
 
-    # Scale rows to O(1) so the residual tolerance is resolution-independent.
-    scale = -1.0 / diag
-    ab = np.zeros((3, n_cells))
-    ab[0, 1:] = w0[1:-1] * scale[:-1]   # superdiagonal
-    ab[1, :] = -1.0
-    ab[2, :-1] = w0[1:-1] * scale[1:]   # subdiagonal
-    b = rhs * scale
-    try:
-        w = solve_banded((1, 1), ab, b, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"tridiagonal elimination failed: {exc}") from exc
-
-    residual = -w - b
-    residual[:-1] += ab[0, 1:] * w[1:]
-    residual[1:] += ab[2, :-1] * w[:-1]
-    worst = float(np.abs(residual).max())
+    # Rows scaled by their diagonal make the residual tolerance resolution-free.
+    residual = d * w - b
+    residual[:-1] += e * w[1:]
+    residual[1:] += e * w[:-1]
+    worst = float(np.abs(residual / d).max())
     if not worst <= _RESIDUAL_TOL * M:
         raise SingularSystemError(
             f"signal solve residual {worst:.3e} exceeds {_RESIDUAL_TOL * M:.3e}"

@@ -22,7 +22,7 @@ class NumericalError(RadtaxisError):
 
 
 class SingularSystemError(RadtaxisError):
-    """The tridiagonal solve failed or left a residual above tolerance.
+    """Signal matrix not positive definite, or solve residual above tolerance.
 
     Cannot happen for nonnegative absorption, so it signals corrupted input.
     """

@@ -93,7 +93,7 @@ def lp_integral(profile: RadialProfile, p: float) -> float:
 def lp_norm(profile: RadialProfile, p: float) -> float:
     """L^p norm by FV quadrature; p = math.inf returns max |f_i|."""
     if p == math.inf:
-        return float(np.max(np.abs(profile.values))) if profile.values.size else 0.0
+        return float(np.max(np.abs(profile.values)))
     if not p >= 1.0:
         raise DomainError(f"lp_norm needs p >= 1 or p = inf, got {p!r}")
     return lp_integral(profile, p) ** (1.0 / p)

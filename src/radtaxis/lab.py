@@ -37,6 +37,7 @@ from .model import (
     _parse_float,
     _parse_floats,
     _parse_int,
+    config_to_text,
     load_config,
     parse_flat_keys,
     parse_initial,
@@ -491,6 +492,7 @@ class SweepRow:
     terminal_t: float
     steps: int
     wall_ms: float
+    detail: str
 
 
 def case_config(plan: SweepPlan, alpha: float, variant: SweepVariant) -> RunConfig:
@@ -521,11 +523,13 @@ def _sweep_case(args: tuple[float, str, RunConfig]) -> SweepRow:
         terminal_t=report.terminal_t,
         steps=report.steps,
         wall_ms=report.wall_time_s * 1e3,
+        detail=report.verdict.detail,
     )
 
 
-def _fault_row(alpha: float, data_id: str) -> SweepRow:
-    return SweepRow(alpha, data_id, TOLERANCE_FAILURE, math.nan, math.nan, 0, math.nan)
+def _fault_row(alpha: float, data_id: str, exc: Exception) -> SweepRow:
+    return SweepRow(alpha, data_id, TOLERANCE_FAILURE, math.nan, math.nan, 0, math.nan,
+                    f"{type(exc).__name__}: {exc}")
 
 
 def run_sweep(plan: SweepPlan) -> list[SweepRow]:
@@ -533,7 +537,7 @@ def run_sweep(plan: SweepPlan) -> list[SweepRow]:
 
     Output is keyed by case, never by completion order, so the table is
     identical for any worker count. A crashing case becomes a
-    tolerance_failure row and the sweep continues.
+    tolerance_failure row naming the exception; the sweep continues.
     """
     cases = [
         (alpha, variant.data_id, case_config(plan, alpha, variant))
@@ -545,16 +549,16 @@ def run_sweep(plan: SweepPlan) -> list[SweepRow]:
         for index, case in enumerate(cases):
             try:
                 rows[index] = _sweep_case(case)
-            except Exception:
-                rows[index] = _fault_row(case[0], case[1])
+            except Exception as exc:
+                rows[index] = _fault_row(case[0], case[1], exc)
     else:
         with ProcessPoolExecutor(max_workers=plan.workers) as pool:
             futures = [pool.submit(_sweep_case, case) for case in cases]
             for index, future in enumerate(futures):
                 try:
                     rows[index] = future.result()
-                except Exception:
-                    rows[index] = _fault_row(cases[index][0], cases[index][1])
+                except Exception as exc:
+                    rows[index] = _fault_row(cases[index][0], cases[index][1], exc)
     return [row for row in rows if row is not None]
 
 
@@ -664,8 +668,6 @@ def write_trace_csv(records: Sequence[TraceRecord], lp_exponents: Sequence[float
 
 
 def report_lines(report: CaseReport) -> list[str]:
-    from .model import config_to_text
-
     lines = ["# case report"]
     lines += config_to_text(report.config).rstrip("\n").splitlines()
     lines.append(f"verdict = {report.verdict.kind}")

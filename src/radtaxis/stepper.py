@@ -218,7 +218,7 @@ def resolve_limits(config: RunConfig, state: SimState, first_dt: float) -> RunCo
     """
     threshold = config.u_max_threshold
     if threshold is None:
-        linf0 = float(np.max(state.u.values)) if state.u.values.size else 0.0
+        linf0 = float(np.max(state.u.values))
         threshold = 1e6 * linf0 if linf0 > 0.0 else math.inf
     dt_min = config.dt_min if config.dt_min is not None else 1e-12 * first_dt
     return replace(config, u_max_threshold=threshold, dt_min=dt_min)

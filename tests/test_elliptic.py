@@ -10,6 +10,7 @@ from radtaxis import (
     NumericalError,
     RadialGrid,
     RadialProfile,
+    SingularSystemError,
     boundary_flux_bound,
     integrate,
     solve_v,
@@ -84,6 +85,15 @@ class TestSolve:
         bad.values[3] = math.nan
         with pytest.raises(NumericalError):
             solve_v(bad, BoundaryDatum(1.0))
+
+    def test_indefinite_operator_rejected(self):
+        # one strongly negative cell makes the negated operator indefinite;
+        # a solution there would break 0 <= v <= M, so the solve must refuse
+        grid = RadialGrid(Geometry(2, 1.0), 64)
+        values = np.ones(64)
+        values[10] = -1e7
+        with pytest.raises(SingularSystemError, match="not positive definite"):
+            solve_v(RadialProfile(grid, values), BoundaryDatum(1.0))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_max_principle_and_monotonicity_randomized(self, n):

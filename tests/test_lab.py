@@ -213,6 +213,8 @@ class TestSweep:
         assert len(rows) == 4
         doomed = [r for r in rows if r.data_id == "doomed"]
         assert all(r.verdict == TOLERANCE_FAILURE for r in doomed)
+        # the row carries the exception that killed the case
+        assert all(r.detail.startswith("ConfigError") for r in doomed)
         others = [r for r in rows if r.data_id == "flat"]
         assert all(r.verdict != TOLERANCE_FAILURE for r in others)
 
