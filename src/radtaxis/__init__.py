@@ -22,7 +22,6 @@ from .grid import (
     RadialProfile,
     boundary_trace,
     integrate,
-    lp_integral,
     lp_norm,
     write_state_csv,
 )
@@ -83,7 +82,7 @@ __all__ = [
     "StepStatus", "SweepPlan", "SweepRow", "SweepVariant", "TOLERANCE_FAILURE",
     "TraceRecord", "Verdict", "advance", "boundary_flux_bound", "boundary_trace",
     "cfl_dt", "face_flux", "initial_state", "integrate", "load_config",
-    "lp_integral", "lp_norm", "paired_separation", "parse_config", "parse_plan",
+    "lp_norm", "paired_separation", "parse_config", "parse_plan",
     "read_table", "render_svg", "run_case", "run_sweep", "sample_initial",
     "solve_v", "step", "unit_ball_volume", "verify_suite", "vr_from_integral",
     "write_state_csv", "write_sweep_csv", "write_trace_csv",

@@ -83,20 +83,13 @@ def integrate(profile: RadialProfile) -> float:
     return float(np.dot(profile.grid.volumes, profile.values))
 
 
-def lp_integral(profile: RadialProfile, p: float) -> float:
-    """Raw integral of |f|^p over the ball; p must be finite and >= 1."""
-    if not (p >= 1.0 and math.isfinite(p)):
-        raise DomainError(f"lp_integral needs finite p >= 1, got {p!r}")
-    return float(np.dot(profile.grid.volumes, np.abs(profile.values) ** p))
-
-
 def lp_norm(profile: RadialProfile, p: float) -> float:
     """L^p norm by FV quadrature; p = math.inf returns max |f_i|."""
     if p == math.inf:
         return float(np.max(np.abs(profile.values)))
     if not p >= 1.0:
         raise DomainError(f"lp_norm needs p >= 1 or p = inf, got {p!r}")
-    return lp_integral(profile, p) ** (1.0 / p)
+    return float(np.dot(profile.grid.volumes, np.abs(profile.values) ** p)) ** (1.0 / p)
 
 
 def boundary_trace(profile: RadialProfile) -> float:

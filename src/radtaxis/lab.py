@@ -49,6 +49,7 @@ from .stepper import (
     TraceRecord,
     advance,
     cfl_dt,
+    face_flux,
     initial_state,
     resolve_limits,
     step,
@@ -311,12 +312,11 @@ def paired_separation(config: RunConfig, eps: float, steps: int):
     ws = [float(np.dot(grid.volumes, (base.u.values - twin.u.values) ** 2))]
     a, b = base, twin
     for _ in range(steps):
-        dt = min(
-            cfl_dt(a.u, a.elliptic.vr_faces, config.diffusion, config.cfl_safety),
-            cfl_dt(b.u, b.elliptic.vr_faces, config.diffusion, config.cfl_safety),
-        )
-        out_a = step(a, resolved, dt)
-        out_b = step(b, resolved, dt)
+        flux_a, bound_a = face_flux(a.u, a.elliptic.vr_faces, config.diffusion)
+        flux_b, bound_b = face_flux(b.u, b.elliptic.vr_faces, config.diffusion)
+        dt = config.cfl_safety * min(bound_a, bound_b)
+        out_a = step(a, resolved, dt, flux_a)
+        out_b = step(b, resolved, dt, flux_b)
         if out_a.status is not StepStatus.ADVANCED or out_b.status is not StepStatus.ADVANCED:
             break
         a, b = out_a.state, out_b.state
@@ -422,8 +422,8 @@ def verify_suite(config: RunConfig) -> list[CheckResult]:
     )
     worst_zero = 0.0
     for _ in range(200):
-        dt = cfl_dt(state.u, state.elliptic.vr_faces, zero_cfg.diffusion, zero_cfg.cfl_safety)
-        out = step(state, resolved, dt)
+        flux, bound = face_flux(state.u, state.elliptic.vr_faces, zero_cfg.diffusion)
+        out = step(state, resolved, zero_cfg.cfl_safety * bound, flux)
         state = out.state
         worst_zero = max(
             worst_zero,

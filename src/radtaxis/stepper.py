@@ -1,14 +1,15 @@
 """Explicit conservative transport of the density profile.
 
 One step: face fluxes (central diffusion, donor-cell drift), forward-Euler
-update, round-off-scale negativity repair, fresh signal solve. dt comes
-from the exact per-cell positivity bound (`cfl_dt`), under which every new
-value is a nonnegative combination of the old ones in any dimension; an
-undershoot past round-off is therefore a numerical failure, not something
-to retry. Interior fluxes telescope and both boundary faces carry exactly
-zero flux, so total mass is conserved to round-off at every step. dt
-collapse and sup-norm runaway terminate through StepOutcome instead of
-exceptions, because they double as the blow-up detector.
+update, round-off-scale negativity repair, fresh signal solve. One
+`face_flux` call per step evaluates D(u_face) once and returns both the
+fluxes and the exact per-cell positivity bound that sets dt; under that
+bound every new value is a nonnegative combination of the old ones in any
+dimension, so an undershoot past round-off is a numerical failure, not
+something to retry. Interior fluxes telescope and both boundary faces
+carry exactly zero flux, so total mass is conserved to round-off at every
+step. dt collapse and sup-norm runaway terminate through StepOutcome
+instead of exceptions, because they double as the blow-up detector.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .elliptic import EllipticSolution, solve_v
-from .errors import NumericalError, RadtaxisError
+from .errors import RadtaxisError
 from .grid import RadialGrid, RadialProfile, boundary_trace, integrate, lp_norm
 from .model import DiffusionLaw, RunConfig, sample_initial
 
@@ -91,50 +92,48 @@ def initial_state(config: RunConfig, u0: RadialProfile | None = None) -> SimStat
     )
 
 
-def face_flux(u: RadialProfile, vr_faces: np.ndarray, law: DiffusionLaw) -> np.ndarray:
-    """Face fluxes A * (D(u_face) du/dr - u_upwind * vr), zero at both boundaries.
+def face_flux(u: RadialProfile, vr_faces: np.ndarray, law: DiffusionLaw) -> tuple[np.ndarray, float]:
+    """Face fluxes and the positivity bound, from one evaluation of D(u_face).
 
-    D is evaluated at the arithmetic mean of the adjacent cells; the drift
-    uses the donor cell (vr >= 0 transports outward, so the inner cell).
+    flux = A * (D(u_face) du/dr - u_upwind * vr), zero at both boundaries. D
+    is evaluated at the arithmetic mean of the adjacent cells; the drift uses
+    the donor cell (vr >= 0 transports outward, so the inner cell).
+
+    bound = min_i V_i / out_i, where out_i is cell i's outflow rate per unit
+    density, a_{i-1/2} + a_{i+1/2} + A_{i+1/2} max(vr_{i+1/2}, 0) +
+    A_{i-1/2} max(-vr_{i-1/2}, 0) with a = (A / dr) D(u_face), summed over
+    interior faces only. Up to dt = bound the forward-Euler update is a
+    nonnegative combination of the old values.
     """
     values = u.values
-    if not (np.isfinite(values).all() and np.isfinite(vr_faces).all()):
-        raise NumericalError("non-finite input to face_flux")
     grid = u.grid
-    flux = np.zeros(grid.n_cells + 1)
     u_face = np.maximum(0.5 * (values[:-1] + values[1:]), 0.0)
-    diffusive = law.eval_unchecked(u_face) * (values[1:] - values[:-1]) / grid.dr
+    d_face = law.eval_unchecked(u_face)
     vr = vr_faces[1:-1]
     upwind = np.where(vr >= 0.0, values[:-1], values[1:])
-    flux[1:-1] = grid.face_areas[1:-1] * (diffusive - upwind * vr)
-    return flux
+    flux = np.zeros(grid.n_cells + 1)
+    flux[1:-1] = grid.face_areas[1:-1] * (d_face * (values[1:] - values[:-1]) / grid.dr - upwind * vr)
 
-
-def cfl_dt(u: RadialProfile, vr_faces: np.ndarray, law: DiffusionLaw, cfl_safety: float) -> float:
-    """Positivity bound: cfl_safety * min_i V_i / out_i.
-
-    out_i is cell i's outflow rate per unit density, a_{i-1/2} + a_{i+1/2} +
-    A_{i+1/2} max(vr_{i+1/2}, 0) + A_{i-1/2} max(-vr_{i-1/2}, 0) with
-    a = (A / dr) D(u_face), summed over interior faces only. Up to this dt the
-    forward-Euler update is a nonnegative combination of the old values.
-    """
-    values = u.values
-    grid = u.grid
-    u_face = np.maximum(0.5 * (values[:-1] + values[1:]), 0.0)
-    a = grid.conductances[1:-1] * law.eval_unchecked(u_face)
-    area_vr = grid.face_areas[1:-1] * vr_faces[1:-1]
+    a = grid.conductances[1:-1] * d_face
+    area_vr = grid.face_areas[1:-1] * vr
     out = np.zeros(grid.n_cells)
     out[:-1] = a + np.maximum(area_vr, 0.0)
     out[1:] += a + np.maximum(-area_vr, 0.0)
-    return cfl_safety * float((grid.volumes / out).min())
+    return flux, float((grid.volumes / out).min())
 
 
-def step(state: SimState, config: RunConfig, dt: float) -> StepOutcome:
+def cfl_dt(u: RadialProfile, vr_faces: np.ndarray, law: DiffusionLaw, cfl_safety: float) -> float:
+    """Stable dt: cfl_safety times `face_flux`'s positivity bound."""
+    return cfl_safety * face_flux(u, vr_faces, law)[1]
+
+
+def step(state: SimState, config: RunConfig, dt: float, flux: np.ndarray | None = None) -> StepOutcome:
     """One forward-Euler step at the supplied dt.
 
-    Never raises past a well-formed outcome. A threshold of None means
-    unbounded and a dt_min of None means zero (callers normally resolve both;
-    see `advance`).
+    `flux` is `face_flux(...)[0]` of this state, evaluated here when not
+    given. Never raises past a well-formed outcome. A threshold of None
+    means unbounded and a dt_min of None means zero (callers normally
+    resolve both; see `advance`).
     """
     dt_min = config.dt_min if config.dt_min is not None else 0.0
     threshold = config.u_max_threshold if config.u_max_threshold is not None else math.inf
@@ -143,11 +142,8 @@ def step(state: SimState, config: RunConfig, dt: float) -> StepOutcome:
                            message=f"dt {dt:.3e} fell below dt_min {dt_min:.3e}")
 
     grid = state.u.grid
-    try:
-        flux = face_flux(state.u, state.elliptic.vr_faces, config.diffusion)
-    except (NumericalError, ValueError) as exc:
-        return StepOutcome(StepStatus.NUMERICAL_FAILURE, message=str(exc))
-
+    if flux is None:
+        flux = face_flux(state.u, state.elliptic.vr_faces, config.diffusion)[0]
     u_new = state.u.values + (dt / grid.volumes) * (flux[1:] - flux[:-1])
     # min and max propagate NaN and show an infinity, so they double as the
     # finiteness check.
@@ -157,7 +153,7 @@ def step(state: SimState, config: RunConfig, dt: float) -> StepOutcome:
         bad_cell = int(np.flatnonzero(~np.isfinite(u_new))[0])
         return StepOutcome(StepStatus.NUMERICAL_FAILURE, measurement=float(bad_cell),
                            message=f"non-finite density in cell {bad_cell}")
-    # Within the cfl_dt bound only round-off can undershoot zero.
+    # Within the positivity bound only round-off can undershoot zero.
     if pre_clip_min < -_NEG_CLIP_REL * linf_new:
         return StepOutcome(StepStatus.NUMERICAL_FAILURE, measurement=pre_clip_min,
                            message=f"negative density {pre_clip_min:.3e}: dt {dt:.3e} "
@@ -214,13 +210,16 @@ def resolve_limits(config: RunConfig, state: SimState, first_dt: float) -> RunCo
     """Fill in the default blow-up triggers relative to the initial state.
 
     u_max_threshold defaults to 1e6 * ||u0||_inf (unbounded for zero data)
-    and dt_min to 1e-12 * the first stable dt.
+    and dt_min to 1e-12 * the first stable dt. A zero or NaN first dt (from a
+    non-finite drift) leaves dt_min unset; `step` then fails on the update.
     """
     threshold = config.u_max_threshold
     if threshold is None:
         linf0 = float(np.max(state.u.values))
         threshold = 1e6 * linf0 if linf0 > 0.0 else math.inf
-    dt_min = config.dt_min if config.dt_min is not None else 1e-12 * first_dt
+    dt_min = config.dt_min
+    if dt_min is None and first_dt > 0.0:
+        dt_min = 1e-12 * first_dt
     return replace(config, u_max_threshold=threshold, dt_min=dt_min)
 
 
@@ -242,10 +241,11 @@ def advance(state: SimState, config: RunConfig, recorder: Recorder | None = None
 
     record(state)
     while state.t < config.t_end:
-        dt = cfl_dt(state.u, state.elliptic.vr_faces, config.diffusion, config.cfl_safety)
+        flux, bound = face_flux(state.u, state.elliptic.vr_faces, config.diffusion)
+        dt = config.cfl_safety * bound
         if resolved is None:
             resolved = resolve_limits(config, state, dt)
-        outcome = step(state, resolved, dt)
+        outcome = step(state, resolved, dt, flux)
         if outcome.status is not StepStatus.ADVANCED:
             record(state)
             return outcome, state

@@ -11,7 +11,6 @@ from radtaxis import (
     RadialProfile,
     boundary_trace,
     integrate,
-    lp_integral,
     lp_norm,
     unit_ball_volume,
     write_state_csv,
@@ -73,7 +72,6 @@ def test_lp_norm_constant_every_p(disk_grid):
     area = math.pi
     for p in (1.0, 2.0, 3.5):
         assert lp_norm(two, p) == pytest.approx(2.0 * area ** (1.0 / p), rel=1e-12)
-        assert lp_integral(two, p) == pytest.approx(2.0 ** p * area, rel=1e-12)
 
 
 def test_lp_norm_zero(disk_grid):

@@ -102,7 +102,7 @@ class TestOnlineChecker:
         grid = state.u.grid
         failed = None
         for _ in range(20):
-            flux = face_flux(state.u, state.elliptic.vr_faces, config.diffusion)
+            flux = face_flux(state.u, state.elliptic.vr_faces, config.diffusion)[0]
             dt = 1e-5
             u_bad = state.u.values + (dt / grid.volumes) * (flux[1:] + flux[:-1])
             profile = RadialProfile(grid, np.maximum(u_bad, 0.0))

@@ -10,7 +10,6 @@ from radtaxis import (
     EllipticSolution,
     GaussianBump,
     Geometry,
-    NumericalError,
     RadialGrid,
     RadialProfile,
     RunConfig,
@@ -71,7 +70,7 @@ class TestFaceFlux:
         grid = RadialGrid(config.geometry, config.cells)
         u = RadialProfile(grid, np.zeros(config.cells))
         solution = solve_v(u, config.boundary)
-        assert np.all(face_flux(u, solution.vr_faces, config.diffusion) == 0.0)
+        assert np.all(face_flux(u, solution.vr_faces, config.diffusion)[0] == 0.0)
 
     def test_constant_density_pure_drift(self):
         # no gradient: the diffusive part vanishes and the flux is -A c vr <= 0
@@ -80,7 +79,7 @@ class TestFaceFlux:
         c = 3.0
         u = RadialProfile(grid, np.full(config.cells, c))
         solution = solve_v(u, config.boundary)
-        flux = face_flux(u, solution.vr_faces, config.diffusion)
+        flux = face_flux(u, solution.vr_faces, config.diffusion)[0]
         expected = -grid.face_areas[1:-1] * c * solution.vr_faces[1:-1]
         assert flux[1:-1] == pytest.approx(expected, rel=1e-13)
         assert np.all(flux <= 0.0)
@@ -92,18 +91,39 @@ class TestFaceFlux:
         for _ in range(20):
             u = RadialProfile(grid, rng.uniform(0.0, 10.0, config.cells))
             solution = solve_v(u, config.boundary)
-            flux = face_flux(u, solution.vr_faces, config.diffusion)
+            flux = face_flux(u, solution.vr_faces, config.diffusion)[0]
             assert flux[0] == 0.0
             assert flux[-1] == 0.0
 
-    def test_non_finite_rejected(self):
+    def test_non_finite_drift_ends_as_numerical_failure(self):
+        # face_flux does not screen its input: the non-finite value reaches
+        # the update, whose min/max check ends both entry points.
         config = make_config()
         grid = RadialGrid(config.geometry, config.cells)
-        u = RadialProfile(grid, np.ones(config.cells))
         vr = np.zeros(config.cells + 1)
         vr[3] = math.inf
-        with pytest.raises(NumericalError):
-            face_flux(u, vr, config.diffusion)
+        state = handmade_state(RadialProfile(grid, np.ones(config.cells)), vr)
+        with np.errstate(invalid="ignore"):
+            assert step(state, config, 1e-6).status is StepStatus.NUMERICAL_FAILURE
+            outcome, final = advance(state, config)
+        assert outcome.status is StepStatus.NUMERICAL_FAILURE
+        assert final is state
+
+    def test_step_and_cfl_dt_agree_bitwise_with_face_flux(self):
+        config = make_config()
+        grid = RadialGrid(config.geometry, config.cells)
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            state = initial_state(config, RadialProfile(grid, rng.uniform(0.0, 10.0, config.cells)))
+            vr = state.elliptic.vr_faces
+            flux, bound = face_flux(state.u, vr, config.diffusion)
+            dt = config.cfl_safety * bound
+            assert cfl_dt(state.u, vr, config.diffusion, config.cfl_safety) == dt
+            given = step(state, config, dt, flux).state
+            own = step(state, config, dt).state
+            assert np.array_equal(given.u.values, own.u.values)
+            assert np.array_equal(given.elliptic.v.values, own.elliptic.v.values)
+            assert given.min_u_watermark == own.min_u_watermark
 
 
 class TestCflDt:
@@ -293,6 +313,21 @@ class TestAdvance:
             runs.append(records)
         assert runs[0] == runs[1]
 
+    def test_one_diffusion_evaluation_per_step(self, monkeypatch):
+        calls = []
+        original = DiffusionLaw.eval_unchecked
+
+        def counting(self, xi):
+            calls.append(xi.size)
+            return original(self, xi)
+
+        monkeypatch.setattr(DiffusionLaw, "eval_unchecked", counting)
+        config = make_config(cells=32, t_end=2e-3)
+        outcome, final = advance(initial_state(config), config)
+        assert outcome.status is StepStatus.ADVANCED
+        assert final.step_index > 1
+        assert len(calls) == final.step_index
+
     def test_threshold_termination_reports_measurement(self):
         config = make_config(u_max_threshold=8.0, t_end=1.0)
         outcome, final = advance(initial_state(config), config)
@@ -317,7 +352,7 @@ class TestDiffusionControl:
         for _ in range(3000):
             dist = float(np.sqrt(np.dot(grid.volumes, (u.values - mean) ** 2)))
             distances.append(dist)
-            flux = face_flux(u, vr, law)
+            flux = face_flux(u, vr, law)[0]
             u = RadialProfile(grid, u.values + (dt / grid.volumes) * (flux[1:] - flux[:-1]))
         distances = np.array(distances)
         assert np.all(np.diff(distances) <= 1e-14)
