@@ -1,11 +1,11 @@
 """Experiment orchestration: single cases, invariant verification, alpha sweeps.
 
 A case run is only trusted as PDE evidence when every online invariant check
-(mass conservation, signal bounds, boundary-flux bound, positivity) held
-throughout; any violation preempts the scientific verdict with a tolerance
-failure. Blow-up is always reported as *suspected*: at fixed resolution the
-detector cannot distinguish genuine singularity formation from resolution
-exhaustion.
+(mass conservation, signal bounds, boundary-flux bound, positivity) held on
+every record; the checker is `advance`'s recorder, so a violation ends the
+run as CHECK_FAILED, a tolerance failure that preempts the verdict. Blow-up
+is always reported as *suspected*: at fixed resolution the detector cannot
+distinguish genuine singularity formation from resolution exhaustion.
 """
 from __future__ import annotations
 
@@ -44,7 +44,6 @@ from .model import (
 )
 from .stepper import (
     SimState,
-    StepOutcome,
     StepStatus,
     TraceRecord,
     advance,
@@ -88,21 +87,15 @@ class CheckResult:
         return f"CHECK {self.name} {status} measured={self.measured:.8g} tol={self.tol:.8g}"
 
 
-class _OnlineCheckFailure(Exception):
-    def __init__(self, name: str):
-        super().__init__(name)
-        self.name = name
-
-
 class OnlineChecker:
     """Per-record invariant checks with worst-case bookkeeping for the report."""
 
     def __init__(self, config: RunConfig, state0: SimState):
         self.mass0 = state0.initial_mass
-        M = config.boundary.M
-        self.M = M
+        self.M = config.boundary.M
+        self.signal_tol = SIGNAL_BOUND_TOL * self.M
         # The mass-only gradient bound scales with the boundary datum.
-        self.flux_bound = boundary_flux_bound(self.mass0, config.geometry) * M
+        self.flux_tol = boundary_flux_bound(self.mass0, config.geometry) * self.M + FLUX_BOUND_SLACK
         self.worst_mass_drift = 0.0
         self.worst_v_low = 0.0
         self.worst_v_high = 0.0
@@ -110,46 +103,36 @@ class OnlineChecker:
         self.worst_u_min = math.inf
 
     def observe(self, record: TraceRecord, state: SimState) -> str | None:
+        """Fold one record into all four worst values, then name the first
+        check they fail, or None."""
         denom = self.mass0 if self.mass0 > 0.0 else 1.0
-        drift = abs(record.mass - self.mass0) / denom
-        self.worst_mass_drift = max(self.worst_mass_drift, drift)
-        if drift > MASS_DRIFT_TOL:
-            return "mass_conservation"
-
+        self.worst_mass_drift = max(self.worst_mass_drift, abs(record.mass - self.mass0) / denom)
         v = state.elliptic.v.values
-        v_low = float(np.min(v))
-        v_high = float(np.max(v))
-        self.worst_v_low = min(self.worst_v_low, v_low)
-        self.worst_v_high = max(self.worst_v_high, v_high)
-        if v_low < -SIGNAL_BOUND_TOL * self.M or v_high > self.M * (1.0 + SIGNAL_BOUND_TOL):
-            return "signal_bounds"
-
+        self.worst_v_low = min(self.worst_v_low, float(np.min(v)))
+        self.worst_v_high = max(self.worst_v_high, float(np.max(v)))
         self.worst_flux = max(self.worst_flux, record.boundary_flux)
-        if record.boundary_flux > self.flux_bound + FLUX_BOUND_SLACK:
-            return "boundary_flux_bound"
-
         self.worst_u_min = min(self.worst_u_min, record.u_min)
-        if record.u_min < 0.0:
+
+        if self.worst_mass_drift > MASS_DRIFT_TOL:
+            return "mass_conservation"
+        if -self.worst_v_low > self.signal_tol or self.worst_v_high - self.M > self.signal_tol:
+            return "signal_bounds"
+        if self.worst_flux > self.flux_tol:
+            return "boundary_flux_bound"
+        if self.worst_u_min < 0.0:
             return "positivity"
         return None
 
-    def summaries(self, failed: str | None = None) -> list[CheckResult]:
-        def result(name: str, measured: float, tol: float, bad: bool) -> CheckResult:
-            return CheckResult(name, passed=not bad, measured=measured, tol=tol)
-
+    def summaries(self) -> list[CheckResult]:
+        """One result per check: its worst value against its tolerance."""
         worst_v = max(-self.worst_v_low, self.worst_v_high - self.M)
         return [
-            result("mass_conservation", self.worst_mass_drift, MASS_DRIFT_TOL,
-                   failed == "mass_conservation"),
-            result("signal_bounds", worst_v, SIGNAL_BOUND_TOL * self.M,
-                   failed == "signal_bounds"),
-            result("boundary_flux_bound",
-                   self.worst_flux if math.isfinite(self.worst_flux) else 0.0,
-                   self.flux_bound + FLUX_BOUND_SLACK,
-                   failed == "boundary_flux_bound"),
-            result("positivity",
-                   self.worst_u_min if math.isfinite(self.worst_u_min) else 0.0,
-                   0.0, failed == "positivity"),
+            CheckResult("mass_conservation", self.worst_mass_drift <= MASS_DRIFT_TOL,
+                        self.worst_mass_drift, MASS_DRIFT_TOL),
+            CheckResult("signal_bounds", worst_v <= self.signal_tol, worst_v, self.signal_tol),
+            CheckResult("boundary_flux_bound", self.worst_flux <= self.flux_tol,
+                        self.worst_flux, self.flux_tol),
+            CheckResult("positivity", self.worst_u_min >= 0.0, self.worst_u_min, 0.0),
         ]
 
 
@@ -159,7 +142,7 @@ class CaseReport:
     records: list[TraceRecord]
     verdict: Verdict
     peak_linf: float
-    terminal_status: StepStatus | None
+    terminal_status: StepStatus
     terminal_t: float
     steps: int
     wall_time_s: float
@@ -185,58 +168,39 @@ def run_case(config: RunConfig) -> CaseReport:
     state0 = initial_state(config)
     checker = OnlineChecker(config, state0)
     records: list[TraceRecord] = []
-    last_state = state0
 
-    def recorder(record: TraceRecord, state: SimState) -> None:
-        nonlocal last_state
+    def recorder(record: TraceRecord, state: SimState) -> str | None:
         records.append(record)
-        last_state = state
-        name = checker.observe(record, state)
-        if name is not None:
-            raise _OnlineCheckFailure(name)
+        return checker.observe(record, state)
 
-    failed_check: str | None = None
-    outcome: StepOutcome | None = None
-    try:
-        outcome, final_state = advance(state0, config, recorder)
-        last_state = final_state
-    except _OnlineCheckFailure as failure:
-        failed_check = failure.name
-    last_step = last_state.step_index
-    last_t = last_state.t
-
+    outcome, final_state = advance(state0, config, recorder)
     peak = max((r.linf for r in records), default=0.0)
-    if failed_check is not None:
-        verdict = Verdict(TOLERANCE_FAILURE, detail=failed_check, t_star=last_t)
-        status = None
+    if outcome.status is StepStatus.CHECK_FAILED:
+        verdict = Verdict(TOLERANCE_FAILURE, detail=outcome.message, t_star=final_state.t)
     elif outcome.status in (StepStatus.THRESHOLD_EXCEEDED, StepStatus.DT_UNDERFLOW):
-        if outcome.measurement is not None and outcome.status is StepStatus.THRESHOLD_EXCEEDED:
+        if outcome.status is StepStatus.THRESHOLD_EXCEEDED:
             peak = max(peak, outcome.measurement)
-        verdict = Verdict(BLOWUP_SUSPECTED, detail=outcome.status.value, t_star=last_t)
-        status = outcome.status
+        verdict = Verdict(BLOWUP_SUSPECTED, detail=outcome.status.value, t_star=final_state.t)
     elif outcome.status is StepStatus.NUMERICAL_FAILURE:
         verdict = Verdict(TOLERANCE_FAILURE, detail=f"numerical_failure: {outcome.message}",
-                          t_star=last_t)
-        status = outcome.status
+                          t_star=final_state.t)
+    elif _plateaued(records, config.t_end):
+        verdict = Verdict(BOUNDED)
     else:
-        status = outcome.status
-        if _plateaued(records, config.t_end):
-            verdict = Verdict(BOUNDED)
-        else:
-            verdict = Verdict(INCONCLUSIVE, detail="no sup-norm plateau inside the horizon")
+        verdict = Verdict(INCONCLUSIVE, detail="no sup-norm plateau inside the horizon")
 
     return CaseReport(
         config=config,
         records=records,
         verdict=verdict,
         peak_linf=peak,
-        terminal_status=status,
-        terminal_t=last_t,
-        steps=last_step,
+        terminal_status=outcome.status,
+        terminal_t=final_state.t,
+        steps=final_state.step_index,
         wall_time_s=time.perf_counter() - start,
-        checks=checker.summaries(failed_check),
+        checks=checker.summaries(),
         initial_state=state0,
-        final_state=last_state,
+        final_state=final_state,
     )
 
 

@@ -8,8 +8,9 @@ bound every new value is a nonnegative combination of the old ones in any
 dimension, so an undershoot past round-off is a numerical failure, not
 something to retry. Interior fluxes telescope and both boundary faces
 carry exactly zero flux, so total mass is conserved to round-off at every
-step. dt collapse and sup-norm runaway terminate through StepOutcome
-instead of exceptions, because they double as the blow-up detector.
+step. Every end of a run is a StepOutcome, never an exception: dt collapse
+and sup-norm runaway, which double as the blow-up detector, a numerical
+failure, and a recorder that names a failed check (CHECK_FAILED).
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ class StepStatus(Enum):
     DT_UNDERFLOW = "dt_underflow"
     THRESHOLD_EXCEEDED = "threshold_exceeded"
     NUMERICAL_FAILURE = "numerical_failure"
+    CHECK_FAILED = "check_failed"
 
 
 @dataclass(frozen=True)
@@ -72,7 +74,7 @@ class TraceRecord:
     u_min: float
 
 
-Recorder = Callable[[TraceRecord, SimState], None]
+Recorder = Callable[[TraceRecord, SimState], str | None]
 
 
 def initial_state(config: RunConfig, u0: RadialProfile | None = None) -> SimState:
@@ -224,33 +226,36 @@ def resolve_limits(config: RunConfig, state: SimState, first_dt: float) -> RunCo
 
 
 def advance(state: SimState, config: RunConfig, recorder: Recorder | None = None) -> tuple[StepOutcome, SimState]:
-    """March to t_end, the sup-norm threshold, or dt underflow.
+    """March to t_end, the sup-norm threshold, dt underflow, or a recorder stop.
 
     The recorder fires at t = 0, every output_stride accepted steps, and at
-    termination. Identical configs yield bit-identical trajectories and
+    termination. A recorder returns None to continue, or a reason that ends
+    the run at the recorded state as CHECK_FAILED, even on the record after a
+    non-advancing step. Identical configs yield bit-identical trajectories and
     recorder streams.
     """
     resolved = None
-    last_recorded = -1
 
-    def record(current: SimState) -> None:
-        nonlocal last_recorded
-        if recorder is not None and current.step_index != last_recorded:
-            recorder(make_record(current, config), current)
-            last_recorded = current.step_index
+    def record(current: SimState) -> str | None:
+        return None if recorder is None else recorder(make_record(current, config), current)
 
-    record(state)
-    while state.t < config.t_end:
+    reason = record(state)
+    stop = None
+    while reason is None and state.t < config.t_end:
         flux, bound = face_flux(state.u, state.elliptic.vr_faces, config.diffusion)
         dt = config.cfl_safety * bound
         if resolved is None:
             resolved = resolve_limits(config, state, dt)
         outcome = step(state, resolved, dt, flux)
         if outcome.status is not StepStatus.ADVANCED:
-            record(state)
-            return outcome, state
+            stop = outcome
+            break
         state = outcome.state
         if state.step_index % config.output_stride == 0:
-            record(state)
-    record(state)
-    return StepOutcome(StepStatus.ADVANCED, state=state, message="horizon reached"), state
+            reason = record(state)
+    # States at a multiple of output_stride, t = 0 included, are recorded.
+    if reason is None and state.step_index % config.output_stride:
+        reason = record(state)
+    if reason is not None:
+        return StepOutcome(StepStatus.CHECK_FAILED, message=reason), state
+    return stop or StepOutcome(StepStatus.ADVANCED, state=state, message="horizon reached"), state

@@ -33,7 +33,7 @@ from radtaxis import (
     step,
     vr_from_integral,
 )
-from radtaxis.lab import _ls_order, _oracle_error, sweep_csv_lines, trace_csv_lines
+from radtaxis.lab import _ls_order, _oracle_error, _representation_gap, sweep_csv_lines, trace_csv_lines
 from radtaxis.model import GaussianBump, RunConfig
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -53,6 +53,7 @@ def trajectory():
     report = run_case(config)
     wall = time.perf_counter() - start
     assert report.steps >= 10_000, "trajectory must take at least 1e4 steps"
+    assert report.steps == 10_797
     return config, report, wall
 
 
@@ -112,13 +113,7 @@ def test_criterion_4_integral_representation():
     s2 = solve_v(u2, BoundaryDatum(1.0))
     exact_gap = float(np.max(np.abs(s2.vr_faces - vr_from_integral(u2, s2.v))))
 
-    gaps = []
-    for cells in LADDER:
-        grid = RadialGrid(Geometry(3, 1.0), cells)
-        u = RadialProfile(grid, 5.0 * np.exp(-((grid.center_radii / 0.3) ** 2)))
-        solution = solve_v(u, BoundaryDatum(1.0))
-        gap = solution.vr_faces - vr_from_integral(u, solution.v)
-        gaps.append(math.sqrt(float(np.sum(grid.face_areas * grid.dr * gap ** 2))))
+    gaps = [_representation_gap(3, cells) for cells in LADDER]
     order = _ls_order(LADDER, gaps)
     emit(4, "gradient_representation",
          exact_gap <= 1e-11 and order >= 1.5,

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from radtaxis import lab
 from radtaxis import (
     BLOWUP_SUSPECTED,
     BOUNDED,
@@ -81,6 +83,50 @@ class TestRunCase:
         assert report.verdict.kind == BOUNDED
         assert len(report.records) == 1
 
+    def test_failed_check_ends_the_run(self, monkeypatch):
+        # The drift is exactly zero on the first records, so a zero tolerance
+        # fails the mass check on a later one.
+        monkeypatch.setattr(lab, "MASS_DRIFT_TOL", 0.0)
+        observed = []
+        observe = OnlineChecker.observe
+
+        def spy(self, record, state):
+            observed.append(state.step_index)
+            return observe(self, record, state)
+
+        monkeypatch.setattr(OnlineChecker, "observe", spy)
+        report = run_case(make_config())
+        assert report.verdict.kind == TOLERANCE_FAILURE
+        assert report.verdict.detail == "mass_conservation"
+        assert observed[-1] > 0
+        assert report.steps == observed[-1]
+        assert report.verdict.t_star == report.terminal_t == report.records[-1].t
+        assert report.terminal_status is StepStatus.CHECK_FAILED
+        assert [c.name for c in report.checks if not c.passed] == ["mass_conservation"]
+
+    def test_check_failing_after_threshold_stop_preempts_blowup(self, monkeypatch):
+        config = make_config(diffusion=DiffusionLaw(alpha=2.0, kappa=1.0),
+                             initial=GaussianBump(mass=30.0, width=1.6, center_radius=0.0),
+                             u_max_threshold=16.0, t_end=1.0)
+        stop = run_case(config)
+        assert stop.verdict.kind == BLOWUP_SUSPECTED
+        # the stopped state is off the output stride, so it gets its own record
+        assert stop.steps % config.output_stride != 0
+        observe = OnlineChecker.observe
+
+        def fail_on_stopped_state(self, record, state):
+            name = observe(self, record, state)
+            return "positivity" if state.step_index == stop.steps else name
+
+        monkeypatch.setattr(OnlineChecker, "observe", fail_on_stopped_state)
+        report = run_case(config)
+        assert report.verdict.kind == TOLERANCE_FAILURE
+        assert report.verdict.detail == "positivity"
+        assert report.terminal_status is StepStatus.CHECK_FAILED
+        assert report.steps == stop.steps
+        assert report.terminal_t == stop.terminal_t
+        assert len(report.records) == len(stop.records)
+
 
 class TestOnlineChecker:
     def test_flags_mass_drift(self):
@@ -92,6 +138,17 @@ class TestOnlineChecker:
         bad = make_record(state, config)
         bad = type(bad)(**{**bad.__dict__, "mass": record.mass * (1 + 1e-9)})
         assert checker.observe(bad, state) == "mass_conservation"
+
+    def test_one_record_failing_two_checks_reports_both(self):
+        config = make_config()
+        state = initial_state(config)
+        checker = OnlineChecker(config, state)
+        record = make_record(state, config)
+        bad = replace(record, mass=record.mass * (1 + 1e-9), u_min=-1.0)
+        assert checker.observe(bad, state) == "mass_conservation"
+        checks = {c.name: c for c in checker.summaries()}
+        assert [name for name, c in checks.items() if not c.passed] == ["mass_conservation", "positivity"]
+        assert checks["positivity"].measured == -1.0
 
     def test_corrupted_flux_sign_breaks_conservation(self):
         # fault injection: adding instead of subtracting the incoming face

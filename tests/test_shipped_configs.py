@@ -57,6 +57,8 @@ def test_blowup_simulation_trace_plots_on_log_axis(tmp_path):
     assert code == 0
     report = (out / "report.txt").read_text()
     assert "verdict = blowup_suspected" in report
+    assert "verdict_detail = threshold_exceeded" in report.splitlines()
+    assert "steps = 10130" in report.splitlines()
     svg = tmp_path / "linf.svg"
     assert main(["plot", "--csv", str(out / "trace.csv"), "--cols", "linf",
                  "--out", str(svg)]) == 0
