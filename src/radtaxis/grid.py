@@ -51,9 +51,6 @@ class RadialGrid:
             and self.n_cells == other.n_cells
         )
 
-    def __hash__(self) -> int:
-        return hash((self.geometry, self.n_cells))
-
     def __repr__(self) -> str:
         return f"RadialGrid(n={self.geometry.n}, R={self.geometry.R}, cells={self.n_cells})"
 

@@ -87,6 +87,16 @@ class CheckResult:
         return f"CHECK {self.name} {status} measured={self.measured:.8g} tol={self.tol:.8g}"
 
 
+def _worse_max(a: float, b: float) -> float:
+    """max(a, b), except that a NaN on either side wins, so it sticks."""
+    return b if b > a or b != b else a
+
+
+def _worse_min(a: float, b: float) -> float:
+    """min(a, b), except that a NaN on either side wins, so it sticks."""
+    return b if b < a or b != b else a
+
+
 class OnlineChecker:
     """Per-record invariant checks with worst-case bookkeeping for the report."""
 
@@ -104,28 +114,28 @@ class OnlineChecker:
 
     def observe(self, record: TraceRecord, state: SimState) -> str | None:
         """Fold one record into all four worst values, then name the first
-        check they fail, or None."""
+        check they fail, or None. A NaN worst value fails its check."""
         denom = self.mass0 if self.mass0 > 0.0 else 1.0
-        self.worst_mass_drift = max(self.worst_mass_drift, abs(record.mass - self.mass0) / denom)
+        self.worst_mass_drift = _worse_max(self.worst_mass_drift, abs(record.mass - self.mass0) / denom)
         v = state.elliptic.v.values
-        self.worst_v_low = min(self.worst_v_low, float(np.min(v)))
-        self.worst_v_high = max(self.worst_v_high, float(np.max(v)))
-        self.worst_flux = max(self.worst_flux, record.boundary_flux)
-        self.worst_u_min = min(self.worst_u_min, record.u_min)
+        self.worst_v_low = _worse_min(self.worst_v_low, float(np.min(v)))
+        self.worst_v_high = _worse_max(self.worst_v_high, float(np.max(v)))
+        self.worst_flux = _worse_max(self.worst_flux, record.boundary_flux)
+        self.worst_u_min = _worse_min(self.worst_u_min, record.u_min)
 
-        if self.worst_mass_drift > MASS_DRIFT_TOL:
+        if not self.worst_mass_drift <= MASS_DRIFT_TOL:
             return "mass_conservation"
-        if -self.worst_v_low > self.signal_tol or self.worst_v_high - self.M > self.signal_tol:
+        if not (-self.worst_v_low <= self.signal_tol and self.worst_v_high - self.M <= self.signal_tol):
             return "signal_bounds"
-        if self.worst_flux > self.flux_tol:
+        if not self.worst_flux <= self.flux_tol:
             return "boundary_flux_bound"
-        if self.worst_u_min < 0.0:
+        if not self.worst_u_min >= 0.0:
             return "positivity"
         return None
 
     def summaries(self) -> list[CheckResult]:
         """One result per check: its worst value against its tolerance."""
-        worst_v = max(-self.worst_v_low, self.worst_v_high - self.M)
+        worst_v = _worse_max(-self.worst_v_low, self.worst_v_high - self.M)
         return [
             CheckResult("mass_conservation", self.worst_mass_drift <= MASS_DRIFT_TOL,
                         self.worst_mass_drift, MASS_DRIFT_TOL),
@@ -153,13 +163,10 @@ class CaseReport:
 
 def _plateaued(records: Sequence[TraceRecord], t_end: float) -> bool:
     window = [r for r in records if r.t >= (1.0 - PLATEAU_WINDOW) * t_end]
-    if not window:
+    if len(window) < 2:
         return False
-    ref = window[0].linf
-    peak = max(r.linf for r in window)
-    if ref > 0.0:
-        return peak <= ref * (1.0 + PLATEAU_GROWTH)
-    return peak == 0.0
+    # linf >= 0, so a zero first value admits only a zero peak.
+    return max(r.linf for r in window) <= window[0].linf * (1.0 + PLATEAU_GROWTH)
 
 
 def run_case(config: RunConfig) -> CaseReport:
@@ -259,14 +266,26 @@ def _random_profiles(grid: RadialGrid, count: int, rng: np.random.Generator):
         yield RadialProfile(grid, values)
 
 
-def paired_separation(config: RunConfig, eps: float, steps: int):
-    """Lockstep integration of a trajectory and its eps-perturbed twin.
+def _max_principle_gaps(grid: RadialGrid, boundary: BoundaryDatum, count: int,
+                        rng: np.random.Generator) -> tuple[float, float]:
+    """Signal solves of `count` random profiles on `grid`: the worst excursion
+    of v outside [0, M] and the worst decrease of v towards the boundary."""
+    worst_bound = 0.0
+    worst_monotone = 0.0
+    for profile in _random_profiles(grid, count, rng):
+        v = solve_v(profile, boundary).v.values
+        worst_bound = max(worst_bound, float(np.max(v)) - boundary.M, -float(np.min(v)))
+        worst_monotone = max(worst_monotone, float(np.max(v[:-1] - v[1:])))
+    return worst_bound, worst_monotone
+
+
+def paired_separation(base: SimState, config: RunConfig, eps: float, steps: int):
+    """Lockstep integration of a trajectory from `base` and its eps-perturbed twin.
 
     Both runs take the same dt (the smaller of the two stability bounds) so
     the squared L2 separation w(t) compares equal times. Returns (t, w)
     arrays with w(0) first.
     """
-    base = initial_state(config)
     grid = base.u.grid
     bump = np.cos(0.5 * math.pi * grid.center_radii / config.geometry.R) ** 2
     twin = initial_state(config, RadialProfile(grid, base.u.values + eps * bump))
@@ -341,14 +360,8 @@ def verify_suite(config: RunConfig) -> list[CheckResult]:
     # Structural bounds on randomized data.
     M = config.boundary.M
     tol = SIGNAL_BOUND_TOL * M
-    worst_bound = 0.0
-    worst_monotone = 0.0
     small_grid = RadialGrid(config.geometry, 128)
-    for profile in _random_profiles(small_grid, 200, rng):
-        solution = solve_v(profile, config.boundary)
-        v = solution.v.values
-        worst_bound = max(worst_bound, float(np.max(v)) - M, -float(np.min(v)))
-        worst_monotone = max(worst_monotone, float(np.max(v[:-1] - v[1:])))
+    worst_bound, worst_monotone = _max_principle_gaps(small_grid, config.boundary, 200, rng)
     checks.append(CheckResult("signal_max_principle", worst_bound <= tol, worst_bound, tol))
     checks.append(CheckResult("signal_monotone", worst_monotone <= tol, worst_monotone, tol))
 
@@ -402,7 +415,7 @@ def verify_suite(config: RunConfig) -> list[CheckResult]:
     checks.append(CheckResult("trajectory_determinism", identical, 0.0 if identical else 1.0, 0.0))
 
     # Paired-trajectory separation grows at most exponentially.
-    ts, ws = paired_separation(short, eps=1e-6, steps=300)
+    ts, ws = paired_separation(report.initial_state, short, eps=1e-6, steps=300)
     log_growth = np.log(np.maximum(ws, 1e-300)) - math.log(max(ws[0], 1e-300))
     slope = float(np.polyfit(ts[1:], log_growth[1:], 1)[0]) if len(ts) > 2 else 0.0
     residual = float(np.max(log_growth - slope * ts)) if len(ts) > 2 else 0.0

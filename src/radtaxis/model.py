@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Collection, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 
 if TYPE_CHECKING:
     from .grid import RadialGrid, RadialProfile
@@ -75,15 +75,11 @@ class DiffusionLaw:
             raise ConfigError(f"diffusion scale kappa must be finite and > 0, got {self.kappa!r}")
 
     def eval(self, xi):
-        """D(xi) for scalar or array xi >= 0; strictly positive."""
-        xi = np.asarray(xi, dtype=float)
-        if xi.size and np.min(xi) < 0.0:
-            raise DomainError("D evaluated at negative density; scheme positivity is broken")
-        out = self.kappa * (xi + 1.0) ** (-self.alpha)
-        return float(out) if out.ndim == 0 else out
+        """D(xi) for scalar or array xi; strictly positive.
 
-    def eval_unchecked(self, xi: np.ndarray) -> np.ndarray:
-        """eval() without the domain guard, for hot paths that clamp first."""
+        Callers keep xi >= 0 (the stepper clamps face densities first); a
+        negative xi is not checked.
+        """
         return self.kappa * (xi + 1.0) ** (-self.alpha)
 
 
@@ -177,7 +173,6 @@ def sample_initial(data: InitialData, grid: "RadialGrid") -> "RadialProfile":
         values = np.full(grid.n_cells, data.value)
         return RadialProfile(grid, values)
 
-    lo = grid.face_radii[:-1]
     half = 0.5 * grid.dr
     mid = grid.center_radii
     exponent = grid.geometry.n - 1
@@ -188,10 +183,9 @@ def sample_initial(data: InitialData, grid: "RadialGrid") -> "RadialProfile":
     cell_integrals *= half * grid.geometry.surface_coefficient
     values = cell_integrals / grid.volumes
 
-    profile = RadialProfile(grid, values)
     if data.mass == 0.0:
         return RadialProfile(grid, np.zeros(grid.n_cells))
-    raw_mass = integrate(profile)
+    raw_mass = integrate(RadialProfile(grid, values))
     if raw_mass <= 0.0:
         raise ConfigError(
             "initial profile has zero sampled mass and cannot be normalized; "

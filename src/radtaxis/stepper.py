@@ -110,7 +110,7 @@ def face_flux(u: RadialProfile, vr_faces: np.ndarray, law: DiffusionLaw) -> tupl
     values = u.values
     grid = u.grid
     u_face = np.maximum(0.5 * (values[:-1] + values[1:]), 0.0)
-    d_face = law.eval_unchecked(u_face)
+    d_face = law.eval(u_face)
     vr = vr_faces[1:-1]
     upwind = np.where(vr >= 0.0, values[:-1], values[1:])
     flux = np.zeros(grid.n_cells + 1)

@@ -11,30 +11,32 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radtaxis import (
-    BOUNDED,
+from radtaxis.elliptic import boundary_flux_bound, solve_v, vr_from_integral
+from radtaxis.grid import RadialGrid, RadialProfile
+from radtaxis.lab import (
     BLOWUP_SUSPECTED,
-    BoundaryDatum,
-    ConstantData,
-    DiffusionLaw,
-    Geometry,
-    RadialGrid,
-    RadialProfile,
-    advance,
-    boundary_flux_bound,
-    cfl_dt,
-    initial_state,
-    load_config,
+    BOUNDED,
+    _ls_order,
+    _max_principle_gaps,
+    _oracle_error,
+    _representation_gap,
     paired_separation,
     parse_plan,
     run_case,
     run_sweep,
-    solve_v,
-    step,
-    vr_from_integral,
+    sweep_csv_lines,
+    trace_csv_lines,
 )
-from radtaxis.lab import _ls_order, _oracle_error, _representation_gap, sweep_csv_lines, trace_csv_lines
-from radtaxis.model import GaussianBump, RunConfig
+from radtaxis.model import (
+    BoundaryDatum,
+    ConstantData,
+    DiffusionLaw,
+    GaussianBump,
+    Geometry,
+    RunConfig,
+    load_config,
+)
+from radtaxis.stepper import advance, cfl_dt, initial_state, step
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 LADDER = (64, 128, 256, 512)
@@ -80,25 +82,11 @@ def test_criterion_3_max_principle_randomized():
     rng = np.random.default_rng(11)
     M = 1.0
     tol = 1e-12 * M
-    worst_bound = 0.0
-    worst_monotone = 0.0
-    count = 0
-    for n in (1, 2, 3):
-        grid = RadialGrid(Geometry(n, 1.0), 128)
-        r = grid.center_radii
-        for _ in range(334):
-            values = np.zeros(grid.n_cells)
-            for _ in range(rng.integers(1, 4)):
-                center = rng.uniform(0.0, 1.0)
-                width = rng.uniform(0.02, 0.5)
-                values += rng.uniform(0.0, 80.0) * np.exp(-(((r - center) / width) ** 2))
-            if rng.uniform() < 0.25:
-                values[rng.integers(0, grid.n_cells)] += rng.uniform(0.0, 300.0)
-            solution = solve_v(RadialProfile(grid, values), BoundaryDatum(M))
-            v = solution.v.values
-            worst_bound = max(worst_bound, float(np.max(v)) - M, -float(np.min(v)))
-            worst_monotone = max(worst_monotone, float(np.max(v[:-1] - v[1:])))
-            count += 1
+    gaps = [_max_principle_gaps(RadialGrid(Geometry(n, 1.0), 128), BoundaryDatum(M), 334, rng)
+            for n in (1, 2, 3)]
+    worst_bound = max(bound for bound, _ in gaps)
+    worst_monotone = max(monotone for _, monotone in gaps)
+    count = 334 * len(gaps)
     emit(3, "max_principle_and_monotonicity",
          count >= 1000 and worst_bound <= tol and worst_monotone <= tol,
          f"profiles={count} worst_bound={worst_bound:.2e} worst_monotone={worst_monotone:.2e}")
@@ -183,7 +171,7 @@ def test_criterion_8_determinism_and_separation():
         csvs.append("\n".join(trace_csv_lines(records, config.lp_exponents)).encode())
     identical = csvs[0] == csvs[1]
 
-    ts, ws = paired_separation(config, eps=1e-6, steps=500)
+    ts, ws = paired_separation(initial_state(config), config, eps=1e-6, steps=500)
     finite = bool(np.all(np.isfinite(ws)) and np.all(ws > 0.0))
     log_growth = np.log(ws) - math.log(ws[0])
     slope = float(np.polyfit(ts, log_growth, 1)[0])
@@ -222,7 +210,7 @@ def test_criterion_11_sweep_worker_determinism(tmp_path):
     base = load_config(CONFIG_DIR / "default.cfg")
     from dataclasses import replace
 
-    from radtaxis import SweepPlan, SweepVariant
+    from radtaxis.lab import SweepPlan, SweepVariant
 
     quick_base = replace(base, cells=64, t_end=2e-3, output_stride=20)
     tables = []

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from radtaxis import ConfigError, render_svg
 from radtaxis.cli import main
-from radtaxis.svg import read_table
+from radtaxis.errors import ConfigError
+from radtaxis.svg import read_table, render_svg
 
 GOOD = """
 n = 2

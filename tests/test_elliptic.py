@@ -3,19 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from radtaxis import (
-    BoundaryDatum,
-    DomainError,
-    Geometry,
-    NumericalError,
-    RadialGrid,
-    RadialProfile,
-    SingularSystemError,
-    boundary_flux_bound,
-    integrate,
-    solve_v,
-    vr_from_integral,
-)
+from radtaxis.elliptic import boundary_flux_bound, solve_v, vr_from_integral
+from radtaxis.errors import DomainError, NumericalError, SingularSystemError
+from radtaxis.grid import RadialGrid, RadialProfile, integrate
+from radtaxis.model import BoundaryDatum, Geometry
 
 
 def constant_profile(n, R, cells, level):

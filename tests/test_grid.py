@@ -3,18 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from radtaxis import (
-    Geometry,
-    GridMismatchError,
-    DomainError,
+from radtaxis.errors import DomainError, GridMismatchError
+from radtaxis.grid import (
     RadialGrid,
     RadialProfile,
     boundary_trace,
     integrate,
     lp_norm,
-    unit_ball_volume,
     write_state_csv,
 )
+from radtaxis.model import Geometry, unit_ball_volume
 
 
 @pytest.fixture

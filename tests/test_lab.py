@@ -1,43 +1,44 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from radtaxis import lab
-from radtaxis import (
+from radtaxis.elliptic import solve_v
+from radtaxis.errors import ConfigError
+from radtaxis.grid import RadialProfile
+from radtaxis.lab import (
     BLOWUP_SUSPECTED,
     BOUNDED,
+    INCONCLUSIVE,
     TOLERANCE_FAILURE,
+    OnlineChecker,
+    SweepPlan,
+    SweepVariant,
+    case_config,
+    paired_separation,
+    parse_plan,
+    report_lines,
+    run_case,
+    run_sweep,
+    sweep_csv_lines,
+    trace_csv_lines,
+    verify_suite,
+)
+from radtaxis.model import (
     BoundaryDatum,
-    ConfigError,
     ConstantData,
     DiffusionLaw,
     GaussianBump,
     Geometry,
-    RadialProfile,
     RunConfig,
-    SimState,
-    StepStatus,
-    SweepPlan,
-    SweepVariant,
-    face_flux,
-    initial_state,
-    paired_separation,
-    run_case,
-    run_sweep,
-    solve_v,
-    verify_suite,
+    load_config,
 )
-from radtaxis.lab import (
-    OnlineChecker,
-    case_config,
-    parse_plan,
-    report_lines,
-    sweep_csv_lines,
-    trace_csv_lines,
-)
-from radtaxis.stepper import make_record
+from radtaxis.stepper import SimState, StepStatus, face_flux, initial_state, make_record
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def make_config(**overrides):
@@ -78,10 +79,19 @@ class TestRunCase:
         assert all(c.passed for c in report.checks)
 
     def test_zero_horizon(self):
+        # one record is no plateau
         report = run_case(make_config(t_end=0.0))
         assert report.steps == 0
-        assert report.verdict.kind == BOUNDED
+        assert report.verdict.kind == INCONCLUSIVE
         assert len(report.records) == 1
+
+    def test_single_record_plateau_window_is_inconclusive(self):
+        # a stride past the last step records only t = 0 and the final state
+        config = replace(load_config(CONFIG_DIR / "default.cfg"), t_end=0.01, output_stride=10**6)
+        report = run_case(config)
+        assert [r.t for r in report.records] == [0.0, report.terminal_t]
+        assert report.terminal_status is StepStatus.ADVANCED
+        assert report.verdict.kind == INCONCLUSIVE
 
     def test_failed_check_ends_the_run(self, monkeypatch):
         # The drift is exactly zero on the first records, so a zero tolerance
@@ -150,6 +160,23 @@ class TestOnlineChecker:
         assert [name for name, c in checks.items() if not c.passed] == ["mass_conservation", "positivity"]
         assert checks["positivity"].measured == -1.0
 
+    def test_nan_worst_values_fail_and_stick(self):
+        config = make_config()
+        state = initial_state(config)
+        checker = OnlineChecker(config, state)
+        record = make_record(state, config)
+        grid = state.u.grid
+        nan_v = RadialProfile(grid, np.full(grid.n_cells, math.nan))
+        nan_state = replace(state, elliptic=replace(state.elliptic, v=nan_v))
+        nan_record = replace(record, mass=math.nan, boundary_flux=math.nan, u_min=math.nan)
+        assert checker.observe(record, state) is None
+        assert checker.observe(nan_record, nan_state) == "mass_conservation"
+        # a clean record afterwards does not wash the NaN out
+        assert checker.observe(record, state) == "mass_conservation"
+        checks = checker.summaries()
+        assert not any(c.passed for c in checks)
+        assert all(math.isnan(c.measured) for c in checks)
+
     def test_corrupted_flux_sign_breaks_conservation(self):
         # fault injection: adding instead of subtracting the incoming face
         # flux destroys telescoping, and the mass check must catch it
@@ -176,11 +203,13 @@ class TestOnlineChecker:
 
 class TestPairedSeparation:
     def test_zero_perturbation_is_bitwise_identity(self):
-        ts, ws = paired_separation(make_config(), eps=0.0, steps=100)
+        config = make_config()
+        ts, ws = paired_separation(initial_state(config), config, eps=0.0, steps=100)
         assert np.all(ws == 0.0)
 
     def test_small_perturbation_grows_at_most_linearly_in_log(self):
-        ts, ws = paired_separation(make_config(t_end=1.0), eps=1e-6, steps=400)
+        config = make_config(t_end=1.0)
+        ts, ws = paired_separation(initial_state(config), config, eps=1e-6, steps=400)
         assert len(ts) == 401
         assert np.all(np.isfinite(ws))
         assert np.all(ws > 0.0)

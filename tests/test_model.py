@@ -5,23 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radtaxis import (
+from radtaxis.errors import ConfigError
+from radtaxis.grid import RadialGrid, integrate
+from radtaxis.model import (
     AnnulusBump,
     BoundaryDatum,
-    ConfigError,
     ConstantData,
     DiffusionLaw,
-    DomainError,
     GaussianBump,
     Geometry,
-    RadialGrid,
     RunConfig,
-    integrate,
+    config_to_text,
     parse_config,
     sample_initial,
     unit_ball_volume,
 )
-from radtaxis.model import config_to_text
 
 
 def test_unit_ball_volumes():
@@ -40,11 +38,6 @@ class TestDiffusionLaw:
 
     def test_halving_at_one(self):
         assert DiffusionLaw(alpha=1.0, kappa=1.0).eval(1.0) == 0.5
-
-    def test_negative_argument_rejected(self):
-        law = DiffusionLaw(alpha=0.5, kappa=1.0)
-        with pytest.raises(DomainError):
-            law.eval(-0.1)
 
     def test_invalid_kappa(self):
         with pytest.raises(ConfigError):

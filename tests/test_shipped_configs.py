@@ -5,15 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radtaxis import (
-    BLOWUP_SUSPECTED,
-    GaussianBump,
-    initial_state,
-    load_config,
-    parse_plan,
-    run_sweep,
-)
 from radtaxis.cli import main
+from radtaxis.lab import BLOWUP_SUSPECTED, parse_plan, run_sweep
+from radtaxis.model import GaussianBump, load_config
+from radtaxis.stepper import initial_state
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

@@ -3,27 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from radtaxis import (
+from radtaxis.elliptic import EllipticSolution, solve_v
+from radtaxis.grid import RadialGrid, RadialProfile, integrate
+from radtaxis.lab import run_case
+from radtaxis.model import (
     BoundaryDatum,
     ConstantData,
     DiffusionLaw,
-    EllipticSolution,
     GaussianBump,
     Geometry,
-    RadialGrid,
-    RadialProfile,
     RunConfig,
-    SimState,
-    StepStatus,
-    advance,
-    cfl_dt,
-    face_flux,
-    initial_state,
-    integrate,
-    run_case,
-    solve_v,
-    step,
 )
+from radtaxis.stepper import SimState, StepStatus, advance, cfl_dt, face_flux, initial_state, step
 
 
 def make_config(**overrides):
@@ -315,13 +306,13 @@ class TestAdvance:
 
     def test_one_diffusion_evaluation_per_step(self, monkeypatch):
         calls = []
-        original = DiffusionLaw.eval_unchecked
+        original = DiffusionLaw.eval
 
         def counting(self, xi):
             calls.append(xi.size)
             return original(self, xi)
 
-        monkeypatch.setattr(DiffusionLaw, "eval_unchecked", counting)
+        monkeypatch.setattr(DiffusionLaw, "eval", counting)
         config = make_config(cells=32, t_end=2e-3)
         outcome, final = advance(initial_state(config), config)
         assert outcome.status is StepStatus.ADVANCED
