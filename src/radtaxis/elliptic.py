@@ -24,11 +24,13 @@ _RESIDUAL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class EllipticSolution:
-    """Signal profile v, its face gradients, and the outward boundary flux."""
+    """Signal profile v, its face gradients, the outward boundary flux, and
+    the solve's residual scaled as in its postcondition."""
 
     v: RadialProfile
     vr_faces: np.ndarray
     boundary_flux: float
+    residual: float = 0.0
 
 
 def solve_v(u: RadialProfile, boundary: BoundaryDatum) -> EllipticSolution:
@@ -40,25 +42,25 @@ def solve_v(u: RadialProfile, boundary: BoundaryDatum) -> EllipticSolution:
     right-hand side M V u, so zero density gives w = 0 and v = M exactly.
     The face gradients returned are exactly the differences the transport
     stepper consumes, so both modules share one discrete gradient.
-    """
-    if not np.isfinite(u.values).all():
-        raise NumericalError("non-finite density passed to the signal solve")
 
+    A non-finite density always fails the solve (NaN or +inf make the
+    residual NaN, -inf makes dptsv fail), so it is screened for only there
+    and raises NumericalError instead of SingularSystemError.
+    """
     grid = u.grid
     n_cells = grid.n_cells
     dr = grid.dr
     M = boundary.M
 
-    w0 = grid.conductances
-
     # Negated system for w: symmetric positive definite when u >= 0.
     vu = grid.volumes * u.values
-    d = w0[:-1] + w0[1:] + vu
-    d[-1] += w0[-1]  # ghost reflection doubles the boundary conductance
-    e = -w0[1:-1]
+    d = grid.signal_diagonal + vu
+    d[-1] += grid.conductances[-1]  # ghost reflection doubles the boundary conductance
+    e = grid.signal_offdiagonal
     b = M * vu
     _, _, w, info = dptsv(d, e, b)
     if info != 0:
+        _screen_non_finite(u)
         raise SingularSystemError(f"signal matrix is not positive definite (dptsv info {info})")
 
     # Rows scaled by their diagonal make the residual tolerance resolution-free.
@@ -67,6 +69,7 @@ def solve_v(u: RadialProfile, boundary: BoundaryDatum) -> EllipticSolution:
     residual[1:] += e * w[:-1]
     worst = float(np.abs(residual / d).max())
     if not worst <= _RESIDUAL_TOL * M:
+        _screen_non_finite(u)
         raise SingularSystemError(
             f"signal solve residual {worst:.3e} exceeds {_RESIDUAL_TOL * M:.3e}"
         )
@@ -76,7 +79,13 @@ def solve_v(u: RadialProfile, boundary: BoundaryDatum) -> EllipticSolution:
     v = M - w
     vr[1:-1] = (v[1:] - v[:-1]) / dr
     vr[-1] = 2.0 * w[-1] / dr
-    return EllipticSolution(v=RadialProfile(grid, v), vr_faces=vr, boundary_flux=float(vr[-1]))
+    return EllipticSolution(v=RadialProfile(grid, v), vr_faces=vr, boundary_flux=float(vr[-1]),
+                            residual=worst)
+
+
+def _screen_non_finite(u: RadialProfile) -> None:
+    if not np.isfinite(u.values).all():
+        raise NumericalError("non-finite density passed to the signal solve")
 
 
 def vr_from_integral(u: RadialProfile, v: RadialProfile) -> np.ndarray:

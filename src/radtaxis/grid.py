@@ -22,7 +22,8 @@ class RadialGrid:
     """Uniform cell-centered mesh: faces at i*dr, centers at (i - 1/2)*dr."""
 
     __slots__ = ("geometry", "n_cells", "dr", "face_radii", "center_radii", "volumes", "face_areas",
-                 "conductances")
+                 "conductances", "inner_face_areas", "inner_conductances", "signal_diagonal",
+                 "signal_offdiagonal")
 
     def __init__(self, geometry: Geometry, n_cells: int):
         if n_cells < 2:
@@ -41,7 +42,15 @@ class RadialGrid:
         # area for n >= 2, symmetry for n = 1).
         conductances = self.face_areas / self.dr
         self.conductances = np.concatenate(([0.0], conductances[1:]))
-        for arr in (self.face_radii, self.center_radii, self.volumes, self.face_areas, self.conductances):
+        # Interior faces carry all transport. The signal matrix without its
+        # V*u diagonal and boundary ghost term depends on the grid alone.
+        self.inner_face_areas = self.face_areas[1:-1]
+        self.inner_conductances = self.conductances[1:-1]
+        self.signal_diagonal = self.conductances[:-1] + self.conductances[1:]
+        self.signal_offdiagonal = -self.inner_conductances
+        for arr in (self.face_radii, self.center_radii, self.volumes, self.face_areas, self.conductances,
+                    self.inner_face_areas, self.inner_conductances, self.signal_diagonal,
+                    self.signal_offdiagonal):
             arr.flags.writeable = False
 
     def __eq__(self, other: object) -> bool:

@@ -604,6 +604,8 @@ def _parse_variant(line: str, geometry: Geometry, source: str) -> SweepVariant:
     if len(tokens) < 2:
         raise ConfigError(f"{source}: variant needs '<id> <kind> key=value...', got {line!r}")
     data_id = tokens[0]
+    if "," in data_id or '"' in data_id:
+        raise ConfigError(f"{source}: variant id {data_id!r} must not contain a comma or a double quote")
     source = f"{source}: variant {data_id!r}"
     entries = {"initial.kind": tokens[1]}
     for token in tokens[2:]:
@@ -655,6 +657,8 @@ def report_lines(report: CaseReport) -> list[str]:
     lines.append(f"peak_linf = {format_float(report.peak_linf)}")
     lines.append(f"terminal_t = {format_float(report.terminal_t)}")
     lines.append(f"steps = {report.steps}")
+    lines.append(f"min_u_watermark = {format_float(report.final_state.min_u_watermark)}")
+    lines.append(f"worst_signal_residual = {format_float(report.final_state.worst_residual)}")
     lines.append(f"wall_s = {report.wall_time_s:.3f}")
     lines += [check.line() for check in report.checks]
     return lines

@@ -39,7 +39,11 @@ class StepStatus(Enum):
 
 @dataclass(frozen=True)
 class SimState:
-    """Trajectory state; the elliptic solution always matches the current u."""
+    """Trajectory state; the elliptic solution always matches the current u.
+
+    min_u_watermark is the lowest pre-clip density and worst_residual the
+    largest signal-solve residual of the trajectory so far.
+    """
 
     t: float
     dt: float
@@ -48,6 +52,7 @@ class SimState:
     elliptic: EllipticSolution
     initial_mass: float
     min_u_watermark: float
+    worst_residual: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -91,36 +96,39 @@ def initial_state(config: RunConfig, u0: RadialProfile | None = None) -> SimStat
         elliptic=elliptic,
         initial_mass=integrate(u0),
         min_u_watermark=float(np.min(u0.values)),
+        worst_residual=elliptic.residual,
     )
 
 
 def face_flux(u: RadialProfile, vr_faces: np.ndarray, law: DiffusionLaw) -> tuple[np.ndarray, float]:
     """Face fluxes and the positivity bound, from one evaluation of D(u_face).
 
-    flux = A * (D(u_face) du/dr - u_upwind * vr), zero at both boundaries. D
-    is evaluated at the arithmetic mean of the adjacent cells; the drift uses
-    the donor cell (vr >= 0 transports outward, so the inner cell).
+    flux = A * (D(u_face) du/dr - u_donor * vr), zero at both boundaries. D
+    is evaluated at the arithmetic mean of the adjacent cells; the donor is
+    the inner cell for outward drift (vr >= 0), else the outer one. With
+    a = (A / dr) D(u_face), a face drains its inner cell at the rate
+    left = a + max(A vr, 0) and its outer cell at right = a - min(A vr, 0),
+    so it carries right * u_outer - left * u_inner.
 
     bound = min_i V_i / out_i, where out_i is cell i's outflow rate per unit
     density, a_{i-1/2} + a_{i+1/2} + A_{i+1/2} max(vr_{i+1/2}, 0) +
-    A_{i-1/2} max(-vr_{i-1/2}, 0) with a = (A / dr) D(u_face), summed over
-    interior faces only. Up to dt = bound the forward-Euler update is a
-    nonnegative combination of the old values.
+    A_{i-1/2} max(-vr_{i-1/2}, 0) over interior faces only, summed as left
+    of its outer face plus right of its inner face. Up to dt = bound the
+    forward-Euler update is a nonnegative combination of the old values.
     """
     values = u.values
     grid = u.grid
     u_face = np.maximum(0.5 * (values[:-1] + values[1:]), 0.0)
-    d_face = law.eval(u_face)
-    vr = vr_faces[1:-1]
-    upwind = np.where(vr >= 0.0, values[:-1], values[1:])
+    a = grid.inner_conductances * law.eval(u_face)
+    area_vr = grid.inner_face_areas * vr_faces[1:-1]
+    left = a + np.maximum(area_vr, 0.0)
+    right = a - np.minimum(area_vr, 0.0)
     flux = np.zeros(grid.n_cells + 1)
-    flux[1:-1] = grid.face_areas[1:-1] * (d_face * (values[1:] - values[:-1]) / grid.dr - upwind * vr)
+    flux[1:-1] = right * values[1:] - left * values[:-1]
 
-    a = grid.conductances[1:-1] * d_face
-    area_vr = grid.face_areas[1:-1] * vr
     out = np.zeros(grid.n_cells)
-    out[:-1] = a + np.maximum(area_vr, 0.0)
-    out[1:] += a + np.maximum(-area_vr, 0.0)
+    out[:-1] = left
+    out[1:] += right
     return flux, float((grid.volumes / out).min())
 
 
@@ -146,7 +154,9 @@ def step(state: SimState, config: RunConfig, dt: float, flux: np.ndarray | None 
     grid = state.u.grid
     if flux is None:
         flux = face_flux(state.u, state.elliptic.vr_faces, config.diffusion)[0]
-    u_new = state.u.values + (dt / grid.volumes) * (flux[1:] - flux[:-1])
+    u_new = flux[1:] - flux[:-1]
+    u_new *= dt / grid.volumes
+    u_new += state.u.values
     # min and max propagate NaN and show an infinity, so they double as the
     # finiteness check.
     pre_clip_min = float(u_new.min())
@@ -190,6 +200,7 @@ def step(state: SimState, config: RunConfig, dt: float, flux: np.ndarray | None 
         elliptic=elliptic,
         initial_mass=state.initial_mass,
         min_u_watermark=min(state.min_u_watermark, pre_clip_min),
+        worst_residual=max(state.worst_residual, elliptic.residual),
     )
     return StepOutcome(StepStatus.ADVANCED, state=new_state)
 

@@ -77,6 +77,25 @@ class TestSolve:
         with pytest.raises(NumericalError):
             solve_v(bad, BoundaryDatum(1.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("cell", [0, 3, 31])
+    def test_every_non_finite_kind_raises_numerical_error(self, bad, cell):
+        # The screen runs only once the solve has failed: NaN and +inf fail the
+        # residual check, -inf makes the factorization fail. Both paths must
+        # name the non-finite density, not a singular matrix.
+        grid = RadialGrid(Geometry(2, 1.0), 32)
+        values = np.ones(32)
+        values[cell] = bad
+        with pytest.raises(NumericalError, match="non-finite density"):
+            solve_v(RadialProfile(grid, values), BoundaryDatum(1.0))
+
+    def test_residual_is_carried_and_within_tolerance(self):
+        rng = np.random.default_rng(8)
+        grid = RadialGrid(Geometry(2, 1.0), 64)
+        solution = solve_v(random_nonneg_profile(grid, rng), BoundaryDatum(2.0))
+        assert 0.0 <= solution.residual <= 1e-12 * 2.0
+        assert solve_v(constant_profile(2, 1.0, 64, 0.0), BoundaryDatum(1.0)).residual == 0.0
+
     def test_indefinite_operator_rejected(self):
         # one strongly negative cell makes the negated operator indefinite;
         # a solution there would break 0 <= v <= M, so the solve must refuse

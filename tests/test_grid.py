@@ -40,6 +40,22 @@ def test_origin_face_area():
     assert RadialGrid(Geometry(1, 1.0), 32).face_areas[0] == 2.0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_precomputed_kernel_coefficients_are_read_only(n):
+    grid = RadialGrid(Geometry(n, 1.0), 32)
+    C = grid.face_areas / grid.dr
+    C[0] = 0.0
+    assert np.array_equal(grid.conductances, C)
+    assert np.array_equal(grid.inner_face_areas, grid.face_areas[1:-1])
+    assert np.array_equal(grid.inner_conductances, C[1:-1])
+    assert np.array_equal(grid.signal_diagonal, C[:-1] + C[1:])
+    assert np.array_equal(grid.signal_offdiagonal, -C[1:-1])
+    for arr in (grid.conductances, grid.inner_face_areas, grid.inner_conductances,
+                grid.signal_diagonal, grid.signal_offdiagonal):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
 def test_integrate_constant_is_disk_area(disk_grid):
     ones = RadialProfile(disk_grid, np.ones(disk_grid.n_cells))
     assert integrate(ones) == pytest.approx(math.pi, rel=1e-12)

@@ -8,7 +8,7 @@ import pytest
 from radtaxis import lab
 from radtaxis.elliptic import solve_v
 from radtaxis.errors import ConfigError
-from radtaxis.grid import RadialProfile
+from radtaxis.grid import RadialProfile, format_float
 from radtaxis.lab import (
     BLOWUP_SUSPECTED,
     BOUNDED,
@@ -400,6 +400,21 @@ class TestPlanParsing:
         assert main(argv + flags) == 2
 
 
+    @pytest.mark.parametrize("data_id", ["a,b", 'a"b'])
+    def test_variant_id_that_would_split_a_csv_field_exits_2(self, tmp_path, data_id, capsys):
+        from radtaxis.cli import main
+        from radtaxis.model import config_to_text
+
+        (tmp_path / "base.cfg").write_text(config_to_text(make_config()))
+        (tmp_path / "p.plan").write_text(
+            f"base = base.cfg\nalphas = 1\nvariant = {data_id} gaussian mass=2 width=0.25 center=0.0\n"
+        )
+        argv = ["sweep", "--plan", str(tmp_path / "p.plan"), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "variant id" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
 class TestPersistence:
     def test_trace_csv_layout(self):
         config = make_config()
@@ -417,3 +432,7 @@ class TestPersistence:
         assert "verdict = bounded" in text or "verdict = inconclusive" in text
         assert "CHECK mass_conservation pass" in text
         assert "alpha = 0.5" in text
+        lines = text.splitlines()
+        assert f"min_u_watermark = {format_float(report.final_state.min_u_watermark)}" in lines
+        assert f"worst_signal_residual = {format_float(report.final_state.worst_residual)}" in lines
+        assert 0.0 < report.final_state.worst_residual <= 1e-12

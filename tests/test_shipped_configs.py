@@ -54,6 +54,10 @@ def test_blowup_simulation_trace_plots_on_log_axis(tmp_path):
     assert "verdict = blowup_suspected" in report
     assert "verdict_detail = threshold_exceeded" in report.splitlines()
     assert "steps = 10130" in report.splitlines()
+    # t* of this fixture, pinned to round-off: kernel rewrites move it only
+    # in its last bits.
+    fields = dict(line.split(" = ", 1) for line in report.splitlines() if " = " in line)
+    assert float(fields["verdict_t"]) == pytest.approx(0.43110276697929784, rel=1e-12)
     svg = tmp_path / "linf.svg"
     assert main(["plot", "--csv", str(out / "trace.csv"), "--cols", "linf",
                  "--out", str(svg)]) == 0

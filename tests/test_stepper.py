@@ -75,6 +75,69 @@ class TestFaceFlux:
         assert flux[1:-1] == pytest.approx(expected, rel=1e-13)
         assert np.all(flux <= 0.0)
 
+    def test_constant_density_inward_drift_takes_the_outer_donor(self):
+        # n = 1, A = 2, V = 2 dr, vr = -s on every interior face: each face
+        # carries 2 c s inward, only the end cells change, and the middle
+        # cells (diffusion on both faces, drift on the inner one) set the
+        # bound dr^2 / (2 D + s dr).
+        c, s = 3.0, 0.5
+        state = drain_state(cells=16, level=c, vr_value=-s)
+        grid = state.u.grid
+        law = DiffusionLaw(alpha=0.5, kappa=1.0)
+        D = float(law.eval(np.array([c]))[0])
+        flux, bound = face_flux(state.u, state.elliptic.vr_faces, law)
+        assert flux[0] == 0.0 and flux[-1] == 0.0
+        assert flux[1:-1] == pytest.approx(np.full(15, 2.0 * c * s), rel=1e-14)
+        assert bound == pytest.approx(grid.dr ** 2 / (2.0 * D + s * grid.dr), rel=1e-14)
+        dt = 0.5 * bound
+        config = make_config(cells=16, geometry=Geometry(1, 1.0), diffusion=law)
+        new = step(state, config, dt, flux).state.u.values
+        gain = dt * c * s / grid.dr
+        assert new[0] == pytest.approx(c + gain, rel=1e-14)
+        assert new[-1] == pytest.approx(c - gain, rel=1e-14)
+        assert new[1:-1] == pytest.approx(np.full(14, c), rel=1e-14)
+
+    def test_inward_drift_draws_on_the_outer_cell(self):
+        # A ramp tells the donors apart: with vr < 0 the drift term of each
+        # face is the outer value, so flux = A (D du/dr - u_outer vr).
+        grid = RadialGrid(Geometry(1, 1.0), 16)
+        values = 1.0 + np.arange(16.0)
+        vr = np.zeros(17)
+        vr[1:-1] = -0.5
+        law = DiffusionLaw(alpha=0.5, kappa=1.0)
+        flux = face_flux(RadialProfile(grid, values), vr, law)[0]
+        d_face = law.eval(0.5 * (values[:-1] + values[1:]))
+        expected = 2.0 * (d_face * np.diff(values) / grid.dr + 0.5 * values[1:])
+        assert flux[1:-1] == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bound_bitwise_and_flux_against_the_central_donor_form(self, n):
+        # Both drift signs on random data. The bound is V / out with out
+        # summed as the docstring has it (outer face, then inner face), bit
+        # for bit; the donor-split flux agrees with the central + donor
+        # expression to round-off of each face's largest term.
+        rng = np.random.default_rng(30 + n)
+        grid = RadialGrid(Geometry(n, 1.0), 64)
+        law = DiffusionLaw(alpha=0.7, kappa=1.3)
+        for _ in range(10):
+            values = rng.uniform(0.0, 10.0, 64)
+            vr = np.zeros(65)
+            vr[1:-1] = rng.uniform(-5.0, 5.0, 63)
+            flux, bound = face_flux(RadialProfile(grid, values), vr, law)
+
+            A = grid.face_areas[1:-1]
+            d_face = law.eval(np.maximum(0.5 * (values[:-1] + values[1:]), 0.0))
+            a = (A / grid.dr) * d_face
+            out = np.zeros(64)
+            out[:-1] += a + np.maximum(A * vr[1:-1], 0.0)
+            out[1:] += a + np.maximum(-A * vr[1:-1], 0.0)
+            assert bound == float(np.min(grid.volumes / out))
+
+            donor = np.where(vr[1:-1] >= 0.0, values[:-1], values[1:])
+            central_donor = A * (d_face * (values[1:] - values[:-1]) / grid.dr - donor * vr[1:-1])
+            largest = np.maximum.reduce([a * values[1:], a * values[:-1], np.abs(A * donor * vr[1:-1])])
+            assert np.all(np.abs(flux[1:-1] - central_donor) <= 1e-13 * largest)
+
     def test_boundary_faces_identically_zero(self):
         config = make_config()
         grid = RadialGrid(config.geometry, config.cells)
@@ -318,6 +381,19 @@ class TestAdvance:
         assert outcome.status is StepStatus.ADVANCED
         assert final.step_index > 1
         assert len(calls) == final.step_index
+
+    def test_state_keeps_the_worst_signal_residual(self):
+        config = make_config()
+        residuals = []
+
+        def recorder(record, state):
+            residuals.append(state.elliptic.residual)
+
+        outcome, final = advance(initial_state(config), config, recorder)
+        assert outcome.status is StepStatus.ADVANCED
+        assert len(residuals) == final.step_index + 1  # output_stride = 1
+        assert final.worst_residual == max(residuals)
+        assert 0.0 < final.worst_residual <= 1e-12
 
     def test_threshold_termination_reports_measurement(self):
         config = make_config(u_max_threshold=8.0, t_end=1.0)
