@@ -70,11 +70,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     write_report(report, out_dir / "report.txt")
     state0 = report.initial_state
     write_state_csv(out_dir / "snapshot_initial.csv", state0.u.grid,
-                    state0.u.values, state0.elliptic.v.values)
+                    state0.u.values, state0.elliptic.v)
     if report.steps > 0:
         final = report.final_state
         write_state_csv(out_dir / "snapshot_final.csv", final.u.grid,
-                        final.u.values, final.elliptic.v.values)
+                        final.u.values, final.elliptic.v)
     print(f"verdict={report.verdict.kind} peak_linf={report.peak_linf:.6g} "
           f"steps={report.steps} t={report.terminal_t:.6g}", file=sys.stderr)
     return EXIT_TOLERANCE if report.verdict.kind == TOLERANCE_FAILURE else EXIT_OK

@@ -17,20 +17,24 @@ from scipy.linalg.lapack import dptsv
 
 from .errors import DomainError, NumericalError, SingularSystemError
 from .model import BoundaryDatum, Geometry, unit_ball_volume
-from .grid import RadialProfile, require_same_grid
+from .grid import RadialProfile
 
 _RESIDUAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class EllipticSolution:
-    """Signal profile v, its face gradients, the outward boundary flux, and
-    the solve's residual scaled as in its postcondition."""
+    """Signal v on the density's cells, its face gradients, and the solve's
+    residual scaled as in its postcondition."""
 
-    v: RadialProfile
+    v: np.ndarray
     vr_faces: np.ndarray
-    boundary_flux: float
     residual: float = 0.0
+
+    @property
+    def boundary_flux(self) -> float:
+        """The outward gradient dv/dnu at r = R."""
+        return float(self.vr_faces[-1])
 
 
 def solve_v(u: RadialProfile, boundary: BoundaryDatum) -> EllipticSolution:
@@ -79,8 +83,7 @@ def solve_v(u: RadialProfile, boundary: BoundaryDatum) -> EllipticSolution:
     v = M - w
     vr[1:-1] = (v[1:] - v[:-1]) / dr
     vr[-1] = 2.0 * w[-1] / dr
-    return EllipticSolution(v=RadialProfile(grid, v), vr_faces=vr, boundary_flux=float(vr[-1]),
-                            residual=worst)
+    return EllipticSolution(v=v, vr_faces=vr, residual=worst)
 
 
 def _screen_non_finite(u: RadialProfile) -> None:
@@ -88,7 +91,7 @@ def _screen_non_finite(u: RadialProfile) -> None:
         raise NumericalError("non-finite density passed to the signal solve")
 
 
-def vr_from_integral(u: RadialProfile, v: RadialProfile) -> np.ndarray:
+def vr_from_integral(u: RadialProfile, v: np.ndarray) -> np.ndarray:
     """Face gradients of v from the cumulative integral representation.
 
     d_r(r^{n-1} v_r) = r^{n-1} u v integrates to
@@ -100,10 +103,9 @@ def vr_from_integral(u: RadialProfile, v: RadialProfile) -> np.ndarray:
     over omega, so this reproduces the scheme's telescoped gradient to
     round-off; the O(dr^2) quadrature gap only opens up for n >= 3.
     """
-    require_same_grid(u, v)
     grid = u.grid
     exponent = grid.geometry.n - 1
-    integrand = grid.center_radii ** exponent * u.values * v.values
+    integrand = grid.center_radii ** exponent * u.values * v
     cumulative = np.cumsum(integrand) * grid.dr
     out = np.empty(grid.n_cells + 1)
     out[0] = 0.0

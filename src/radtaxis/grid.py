@@ -79,11 +79,6 @@ class RadialProfile:
             )
 
 
-def require_same_grid(a: RadialProfile, b: RadialProfile) -> None:
-    if a.grid != b.grid:
-        raise GridMismatchError(f"profiles live on different grids: {a.grid} vs {b.grid}")
-
-
 def integrate(profile: RadialProfile) -> float:
     """Finite-volume quadrature sum(V_i * f_i); exactly linear in the profile."""
     return float(np.dot(profile.grid.volumes, profile.values))
@@ -113,7 +108,7 @@ def write_state_csv(path: str | Path, grid: RadialGrid, u: np.ndarray, v: np.nda
     """Simulation snapshot: columns r,value,v, one row per cell."""
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["r", "value", "v"])
         for r, uv, vv in zip(grid.center_radii, u, v):
             writer.writerow([format_float(r), format_float(uv), format_float(vv)])

@@ -13,9 +13,9 @@ import csv
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .model import (
     BoundaryDatum,
     ConstantData,
     Geometry,
-    InitialData,
     RunConfig,
     _parse_float,
     _parse_floats,
@@ -112,38 +111,30 @@ class OnlineChecker:
         self.worst_flux = -math.inf
         self.worst_u_min = math.inf
 
+    def _checks(self) -> Iterator[tuple[str, bool, float, float]]:
+        """(name, passed, measured, tol) of each check, in report order. A NaN
+        worst value fails its check."""
+        worst_v = _worse_max(-self.worst_v_low, self.worst_v_high - self.M)
+        yield "mass_conservation", self.worst_mass_drift <= MASS_DRIFT_TOL, self.worst_mass_drift, MASS_DRIFT_TOL
+        yield "signal_bounds", worst_v <= self.signal_tol, worst_v, self.signal_tol
+        yield "boundary_flux_bound", self.worst_flux <= self.flux_tol, self.worst_flux, self.flux_tol
+        yield "positivity", self.worst_u_min >= 0.0, self.worst_u_min, 0.0
+
     def observe(self, record: TraceRecord, state: SimState) -> str | None:
         """Fold one record into all four worst values, then name the first
-        check they fail, or None. A NaN worst value fails its check."""
+        check they fail, or None."""
         denom = self.mass0 if self.mass0 > 0.0 else 1.0
         self.worst_mass_drift = _worse_max(self.worst_mass_drift, abs(record.mass - self.mass0) / denom)
-        v = state.elliptic.v.values
+        v = state.elliptic.v
         self.worst_v_low = _worse_min(self.worst_v_low, float(np.min(v)))
         self.worst_v_high = _worse_max(self.worst_v_high, float(np.max(v)))
         self.worst_flux = _worse_max(self.worst_flux, record.boundary_flux)
         self.worst_u_min = _worse_min(self.worst_u_min, record.u_min)
-
-        if not self.worst_mass_drift <= MASS_DRIFT_TOL:
-            return "mass_conservation"
-        if not (-self.worst_v_low <= self.signal_tol and self.worst_v_high - self.M <= self.signal_tol):
-            return "signal_bounds"
-        if not self.worst_flux <= self.flux_tol:
-            return "boundary_flux_bound"
-        if not self.worst_u_min >= 0.0:
-            return "positivity"
-        return None
+        return next((name for name, passed, _, _ in self._checks() if not passed), None)
 
     def summaries(self) -> list[CheckResult]:
         """One result per check: its worst value against its tolerance."""
-        worst_v = _worse_max(-self.worst_v_low, self.worst_v_high - self.M)
-        return [
-            CheckResult("mass_conservation", self.worst_mass_drift <= MASS_DRIFT_TOL,
-                        self.worst_mass_drift, MASS_DRIFT_TOL),
-            CheckResult("signal_bounds", worst_v <= self.signal_tol, worst_v, self.signal_tol),
-            CheckResult("boundary_flux_bound", self.worst_flux <= self.flux_tol,
-                        self.worst_flux, self.flux_tol),
-            CheckResult("positivity", self.worst_u_min >= 0.0, self.worst_u_min, 0.0),
-        ]
+        return [CheckResult(*check) for check in self._checks()]
 
 
 @dataclass
@@ -226,7 +217,7 @@ def _oracle_error(n: int, u_level: float, cells: int, exact) -> float:
     grid = RadialGrid(Geometry(n=n, R=1.0), cells)
     u = RadialProfile(grid, np.full(cells, u_level))
     solution = solve_v(u, BoundaryDatum(M=1.0))
-    return float(np.max(np.abs(solution.v.values - exact(grid.center_radii))))
+    return float(np.max(np.abs(solution.v - exact(grid.center_radii))))
 
 
 def _exact_n1(r: np.ndarray) -> np.ndarray:
@@ -273,7 +264,7 @@ def _max_principle_gaps(grid: RadialGrid, boundary: BoundaryDatum, count: int,
     worst_bound = 0.0
     worst_monotone = 0.0
     for profile in _random_profiles(grid, count, rng):
-        v = solve_v(profile, boundary).v.values
+        v = solve_v(profile, boundary).v
         worst_bound = max(worst_bound, float(np.max(v)) - boundary.M, -float(np.min(v)))
         worst_monotone = max(worst_monotone, float(np.max(v[:-1] - v[1:])))
     return worst_bound, worst_monotone
@@ -369,8 +360,8 @@ def verify_suite(config: RunConfig) -> list[CheckResult]:
     for profile in _random_profiles(small_grid, 50, rng):
         extra = next(_random_profiles(small_grid, 1, rng))
         bigger = RadialProfile(small_grid, profile.values + extra.values)
-        v_small = solve_v(profile, config.boundary).v.values
-        v_big = solve_v(bigger, config.boundary).v.values
+        v_small = solve_v(profile, config.boundary).v
+        v_big = solve_v(bigger, config.boundary).v
         worst_cmp = max(worst_cmp, float(np.max(v_big - v_small)))
     checks.append(CheckResult("signal_comparison_monotone", worst_cmp <= tol, worst_cmp, tol))
 
@@ -405,7 +396,7 @@ def verify_suite(config: RunConfig) -> list[CheckResult]:
         worst_zero = max(
             worst_zero,
             float(np.max(np.abs(state.u.values))),
-            float(np.max(np.abs(state.elliptic.v.values - M))) / M,
+            float(np.max(np.abs(state.elliptic.v - M))) / M,
         )
     checks.append(CheckResult("zero_fixed_point", worst_zero <= 1e-12, worst_zero, 1e-12))
 
@@ -432,19 +423,17 @@ def verify_suite(config: RunConfig) -> list[CheckResult]:
 @dataclass(frozen=True)
 class SweepVariant:
     data_id: str
-    initial: InitialData
-    t_end: float | None = None
-    u_max_threshold: float | None = None
+    config: RunConfig
 
 
 @dataclass(frozen=True)
 class SweepPlan:
-    base: RunConfig
+    """Alpha x variant cross product; `cases` holds each (alpha, data_id, config)."""
+
     alphas: tuple[float, ...]
     variants: tuple[SweepVariant, ...]
     workers: int = 1
-    t_end: float | None = None
-    u_max_threshold: float | None = None
+    cases: tuple[tuple[float, str, RunConfig], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.alphas:
@@ -458,6 +447,10 @@ class SweepPlan:
         object.__setattr__(self, "variants", tuple(sorted(self.variants, key=lambda v: v.data_id)))
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        # Built here, so every case config is validated before any case runs.
+        object.__setattr__(self, "cases", tuple(
+            (a, v.data_id, replace(v.config, diffusion=replace(v.config.diffusion, alpha=a)))
+            for a in self.alphas for v in self.variants))
 
 
 @dataclass(frozen=True)
@@ -470,23 +463,6 @@ class SweepRow:
     steps: int
     wall_ms: float
     detail: str
-
-
-def case_config(plan: SweepPlan, alpha: float, variant: SweepVariant) -> RunConfig:
-    cfg = plan.base
-    t_end = cfg.t_end if plan.t_end is None else plan.t_end
-    if variant.t_end is not None:
-        t_end = variant.t_end
-    threshold = cfg.u_max_threshold if plan.u_max_threshold is None else plan.u_max_threshold
-    if variant.u_max_threshold is not None:
-        threshold = variant.u_max_threshold
-    return replace(
-        cfg,
-        diffusion=replace(cfg.diffusion, alpha=alpha),
-        initial=variant.initial,
-        t_end=t_end,
-        u_max_threshold=threshold,
-    )
 
 
 def _sweep_case(args: tuple[float, str, RunConfig]) -> SweepRow:
@@ -516,26 +492,21 @@ def run_sweep(plan: SweepPlan) -> list[SweepRow]:
     identical for any worker count. A crashing case becomes a
     tolerance_failure row naming the exception; the sweep continues.
     """
-    cases = [
-        (alpha, variant.data_id, case_config(plan, alpha, variant))
-        for alpha in plan.alphas
-        for variant in plan.variants
-    ]
-    rows: list[SweepRow | None] = [None] * len(cases)
+    rows: list[SweepRow | None] = [None] * len(plan.cases)
     if plan.workers == 1:
-        for index, case in enumerate(cases):
+        for index, case in enumerate(plan.cases):
             try:
                 rows[index] = _sweep_case(case)
             except Exception as exc:
                 rows[index] = _fault_row(case[0], case[1], exc)
     else:
         with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-            futures = [pool.submit(_sweep_case, case) for case in cases]
+            futures = [pool.submit(_sweep_case, case) for case in plan.cases]
             for index, future in enumerate(futures):
                 try:
                     rows[index] = future.result()
                 except Exception as exc:
-                    rows[index] = _fault_row(cases[index][0], cases[index][1], exc)
+                    rows[index] = _fault_row(plan.cases[index][0], plan.cases[index][1], exc)
     return [row for row in rows if row is not None]
 
 
@@ -567,13 +538,14 @@ def write_sweep_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
 
 def write_sweep_timings(rows: Sequence[SweepRow], path: str | Path) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["alpha", "data_id", "wall_ms"])
         for row in rows:
             writer.writerow([format_float(row.alpha), row.data_id, f"{row.wall_ms:.3f}"])
 
 
-_PLAN_KEYS = frozenset(["base", "alphas", "workers", "t_end", "u_max_threshold", "variant"])
+_OVERRIDE_KEYS = ("t_end", "u_max_threshold")
+_PLAN_KEYS = frozenset(["base", "alphas", "workers", "variant", *_OVERRIDE_KEYS])
 
 
 def parse_plan(path: str | Path) -> SweepPlan:
@@ -581,24 +553,30 @@ def parse_plan(path: str | Path) -> SweepPlan:
 
     The config syntax (base, alphas, workers, t_end, u_max_threshold) plus
     one `variant = <id> <kind> key=value...` line per data variant; the
-    base path is resolved relative to the plan file.
+    base path is resolved relative to the plan file. A variant's t_end and
+    u_max_threshold win over the plan's, which win over the base config's.
     """
     path = Path(path)
     source = str(path)
     entries = parse_flat_keys(path.read_text(encoding="utf-8"), source, _PLAN_KEYS,
                               ("base", "alphas", "variant"), repeatable={"variant"})
-    base = load_config((path.parent / entries["base"]).resolve())
+    base = _override(load_config((path.parent / entries["base"]).resolve()), entries, source)
     return SweepPlan(
-        base=base,
         alphas=_parse_floats(entries, "alphas", source),
-        variants=tuple(_parse_variant(line, base.geometry, source) for line in entries["variant"]),
+        variants=tuple(_parse_variant(line, base, source) for line in entries["variant"]),
         workers=_parse_int(entries, "workers", source) if "workers" in entries else 1,
-        t_end=_parse_float(entries, "t_end", source) if "t_end" in entries else None,
-        u_max_threshold=_parse_float(entries, "u_max_threshold", source) if "u_max_threshold" in entries else None,
     )
 
 
-def _parse_variant(line: str, geometry: Geometry, source: str) -> SweepVariant:
+def _override(config: RunConfig, entries: dict[str, str], source: str, **changes) -> RunConfig:
+    """`config` with `changes` and the t_end and u_max_threshold of `entries`."""
+    for key in _OVERRIDE_KEYS:
+        if key in entries:
+            changes[key] = _parse_float(entries, key, source)
+    return replace(config, **changes)
+
+
+def _parse_variant(line: str, base: RunConfig, source: str) -> SweepVariant:
     """`<id> <kind> key=value...`: a token `mass=2` is the config key `initial.mass`."""
     tokens = line.split()
     if len(tokens) < 2:
@@ -612,17 +590,13 @@ def _parse_variant(line: str, geometry: Geometry, source: str) -> SweepVariant:
         if "=" not in token:
             raise ConfigError(f"{source}: parameter {token!r} is not key=value")
         key, value = token.split("=", 1)
-        if key not in ("t_end", "u_max_threshold"):
+        if key not in _OVERRIDE_KEYS:
             key = f"initial.{key}"
         if key in entries:
             raise ConfigError(f"{source}: duplicate key {key!r}")
         entries[key] = value
-    return SweepVariant(
-        data_id=data_id,
-        initial=parse_initial(entries, geometry, source),
-        t_end=_parse_float(entries, "t_end", source) if "t_end" in entries else None,
-        u_max_threshold=_parse_float(entries, "u_max_threshold", source) if "u_max_threshold" in entries else None,
-    )
+    initial = parse_initial(entries, base.geometry, source)
+    return SweepVariant(data_id, _override(base, entries, source, initial=initial))
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,7 @@ def _fmt(value: float) -> str:
 def render_svg(table: Mapping[str, Sequence[float]], columns: Sequence[str],
                path: str | Path) -> None:
     """Write a line chart of the named columns against the table's first column."""
+    from xml.sax.saxutils import escape  # loads urllib.request and ssl, so only plot pays for it
     names = list(table.keys())
     if not names:
         raise ConfigError("cannot plot an empty table")
@@ -146,7 +147,7 @@ def render_svg(table: Mapping[str, Sequence[float]], columns: Sequence[str],
         )
     parts.append(
         f'<text x="{(MARGIN_LEFT + WIDTH - MARGIN_RIGHT) / 2:.2f}" y="{HEIGHT - 8}" '
-        f'font-size="13" text-anchor="middle">{x_name}</text>'
+        f'font-size="13" text-anchor="middle">{escape(x_name)}</text>'
     )
     if log_y:
         parts.append(
@@ -167,7 +168,7 @@ def render_svg(table: Mapping[str, Sequence[float]], columns: Sequence[str],
             f'stroke="{color}" stroke-width="1.5"/>'
         )
         parts.append(
-            f'<text x="{legend_x + 30}" y="{legend_y}" font-size="12">{name}</text>'
+            f'<text x="{legend_x + 30}" y="{legend_y}" font-size="12">{escape(name)}</text>'
         )
 
     parts.append("</svg>")

@@ -146,7 +146,7 @@ def test_criterion_7_zero_fixed_point():
         outcome = step(state, config, dt)
         state = outcome.state
         worst_u = max(worst_u, float(np.max(np.abs(state.u.values))))
-        worst_v = max(worst_v, float(np.max(np.abs(state.elliptic.v.values - M))))
+        worst_v = max(worst_v, float(np.max(np.abs(state.elliptic.v - M))))
     emit(7, "zero_fixed_point",
          worst_u == 0.0 and worst_v <= 1e-12 * M,
          f"steps=10000 worst_u={worst_u} worst_v_dev={worst_v:.2e}")
@@ -213,14 +213,14 @@ def test_criterion_11_sweep_worker_determinism(tmp_path):
     from radtaxis.lab import SweepPlan, SweepVariant
 
     quick_base = replace(base, cells=64, t_end=2e-3, output_stride=20)
+    bump = GaussianBump(mass=2.0, width=0.25, center_radius=0.0)
     tables = []
     for workers in (1, 2, 8):
         plan = SweepPlan(
-            base=quick_base,
             alphas=(0.25, 0.75),
             variants=(
-                SweepVariant("bump", GaussianBump(mass=2.0, width=0.25, center_radius=0.0)),
-                SweepVariant("flat", ConstantData(0.5)),
+                SweepVariant("bump", replace(quick_base, initial=bump)),
+                SweepVariant("flat", replace(quick_base, initial=ConstantData(0.5))),
             ),
             workers=workers,
         )

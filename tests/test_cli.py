@@ -1,4 +1,5 @@
 import math
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -82,6 +83,18 @@ class TestSimulate:
         capsys.readouterr()
 
 
+def test_no_output_file_contains_a_carriage_return(tmp_path, config_path):
+    plan = tmp_path / "sweep.plan"
+    plan.write_text(f"base = {config_path.name}\nalphas = 0.5\nvariant = flat constant mass=1\n")
+    assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "sim")]) == 0
+    assert main(["sweep", "--plan", str(plan), "--out", str(tmp_path / "sweep")]) == 0
+    outputs = sorted((tmp_path / "sim").iterdir()) + sorted((tmp_path / "sweep").iterdir())
+    assert [path.name for path in outputs] == ["report.txt", "snapshot_final.csv", "snapshot_initial.csv",
+                                               "trace.csv", "sweep.csv", "sweep_timings.csv"]
+    for path in outputs:
+        assert b"\r" not in path.read_bytes(), path.name
+
+
 class TestVerify:
     def test_good_config_full_pass(self, tmp_path, capsys):
         cfg = tmp_path / "v.cfg"
@@ -133,6 +146,15 @@ class TestPlot:
         assert main(["plot", "--csv", str(trace), "--cols", "bogus",
                      "--out", str(tmp_path / "x.svg")]) == 2
         assert "bogus" in capsys.readouterr().err
+
+    def test_markup_in_column_names_is_escaped(self, tmp_path):
+        csv_path = tmp_path / "odd.csv"
+        csv_path.write_text("t&x,a<b&c\n0.0,1.0\n1.0,2.0\n")
+        svg = tmp_path / "odd.svg"
+        assert main(["plot", "--csv", str(csv_path), "--cols", "a<b&c", "--out", str(svg)]) == 0
+        texts = [node.firstChild.data for node in minidom.parse(str(svg)).getElementsByTagName("text")]
+        assert "t&x" in texts
+        assert "a<b&c" in texts
 
     def test_missing_csv_exits_3(self, tmp_path):
         assert main(["plot", "--csv", str(tmp_path / "nothing.csv"), "--cols", "a",

@@ -33,19 +33,19 @@ def random_nonneg_profile(grid, rng):
 class TestSolve:
     def test_zero_absorption_gives_boundary_value(self):
         solution = solve_v(constant_profile(2, 1.0, 128, 0.0), BoundaryDatum(2.5))
-        assert np.max(np.abs(solution.v.values - 2.5)) <= 1e-12 * 2.5
+        assert np.max(np.abs(solution.v - 2.5)) <= 1e-12 * 2.5
         assert abs(solution.boundary_flux) <= 1e-12
 
     def test_zero_density_is_exact_on_a_fine_grid(self):
         solution = solve_v(constant_profile(2, 1.0, 4096, 0.0), BoundaryDatum(1.0))
-        assert np.all(solution.v.values == 1.0)
+        assert np.all(solution.v == 1.0)
         assert solution.boundary_flux == 0.0
 
     def test_cosh_oracle_n1(self):
         u = constant_profile(1, 1.0, 256, 1.0)
         solution = solve_v(u, BoundaryDatum(1.0))
         exact = np.cosh(u.grid.center_radii) / math.cosh(1.0)
-        assert np.max(np.abs(solution.v.values - exact)) < 1e-4
+        assert np.max(np.abs(solution.v - exact)) < 1e-4
 
     def test_cosh_oracle_second_order(self):
         cells = (64, 128, 256, 512)
@@ -54,7 +54,7 @@ class TestSolve:
             u = constant_profile(1, 1.0, N, 1.0)
             solution = solve_v(u, BoundaryDatum(1.0))
             exact = np.cosh(u.grid.center_radii) / math.cosh(1.0)
-            errors.append(float(np.max(np.abs(solution.v.values - exact))))
+            errors.append(float(np.max(np.abs(solution.v - exact))))
         assert ls_order(cells, errors) >= 1.9
 
     def test_sinh_oracle_n3_second_order(self):
@@ -67,7 +67,7 @@ class TestSolve:
             solution = solve_v(u, BoundaryDatum(M))
             r = u.grid.center_radii
             exact = M * np.sinh(2.0 * r) / (r * math.sinh(2.0))
-            errors.append(float(np.max(np.abs(solution.v.values - exact))))
+            errors.append(float(np.max(np.abs(solution.v - exact))))
         assert ls_order(cells, errors) >= 1.9
 
     def test_non_finite_input_rejected(self):
@@ -113,7 +113,7 @@ class TestSolve:
         tol = 1e-12 * M
         for _ in range(100):
             solution = solve_v(random_nonneg_profile(grid, rng), BoundaryDatum(M))
-            v = solution.v.values
+            v = solution.v
             assert np.min(v) >= -tol
             assert np.max(v) <= M + tol
             assert np.min(np.diff(v)) >= -tol
@@ -128,8 +128,8 @@ class TestSolve:
             small = random_nonneg_profile(grid, rng)
             extra = random_nonneg_profile(grid, rng)
             big = RadialProfile(grid, small.values + extra.values)
-            v_small = solve_v(small, BoundaryDatum(M)).v.values
-            v_big = solve_v(big, BoundaryDatum(M)).v.values
+            v_small = solve_v(small, BoundaryDatum(M)).v
+            v_big = solve_v(big, BoundaryDatum(M)).v
             assert np.max(v_big - v_small) <= 1e-12 * M
 
 

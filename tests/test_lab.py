@@ -17,7 +17,6 @@ from radtaxis.lab import (
     OnlineChecker,
     SweepPlan,
     SweepVariant,
-    case_config,
     paired_separation,
     parse_plan,
     report_lines,
@@ -165,8 +164,7 @@ class TestOnlineChecker:
         state = initial_state(config)
         checker = OnlineChecker(config, state)
         record = make_record(state, config)
-        grid = state.u.grid
-        nan_v = RadialProfile(grid, np.full(grid.n_cells, math.nan))
+        nan_v = np.full(state.u.grid.n_cells, math.nan)
         nan_state = replace(state, elliptic=replace(state.elliptic, v=nan_v))
         nan_record = replace(record, mass=math.nan, boundary_flux=math.nan, u_min=math.nan)
         assert checker.observe(record, state) is None
@@ -242,13 +240,16 @@ class TestVerifySuite:
         assert parts[4].startswith("tol=")
 
 
+def small_variant(data_id, initial):
+    return SweepVariant(data_id, make_config(initial=initial, cells=32, t_end=5e-4, output_stride=10))
+
+
 def small_plan(**overrides):
     fields = dict(
-        base=make_config(cells=32, t_end=5e-4, output_stride=10),
         alphas=(0.5, 0.0),
         variants=(
-            SweepVariant("bump", GaussianBump(mass=2.0, width=0.25, center_radius=0.0)),
-            SweepVariant("flat", ConstantData(0.5)),
+            small_variant("bump", GaussianBump(mass=2.0, width=0.25, center_radius=0.0)),
+            small_variant("flat", ConstantData(0.5)),
         ),
         workers=1,
     )
@@ -266,7 +267,9 @@ class TestSweep:
         plan = small_plan(alphas=(0.5,), variants=(small_plan().variants[0],))
         rows = run_sweep(plan)
         assert len(rows) == 1
-        report = run_case(case_config(plan, 0.5, plan.variants[0]))
+        alpha, data_id, config = plan.cases[0]
+        assert (alpha, data_id, config.diffusion.alpha) == (0.5, "bump", 0.5)
+        report = run_case(config)
         row = rows[0]
         assert row.verdict == report.verdict.kind
         assert row.peak_linf == report.peak_linf
@@ -293,7 +296,7 @@ class TestSweep:
     def test_crashing_case_becomes_tolerance_failure_row(self):
         # width 1e-300 underflows to a zero profile, so sampling raises inside
         # the worker; the sweep must keep going
-        bad = SweepVariant("doomed", GaussianBump(mass=1.0, width=1e-300))
+        bad = small_variant("doomed", GaussianBump(mass=1.0, width=1e-300))
         plan = small_plan(variants=(bad, small_plan().variants[1]), workers=2)
         rows = run_sweep(plan)
         assert len(rows) == 4
@@ -305,12 +308,14 @@ class TestSweep:
         assert all(r.verdict != TOLERANCE_FAILURE for r in others)
 
     def test_case_config_overrides(self):
-        variant = SweepVariant("bump", GaussianBump(mass=1.0, width=0.2), t_end=0.25)
-        plan = small_plan(variants=(variant,), t_end=0.5, u_max_threshold=123.0)
-        config = case_config(plan, 0.0, variant)
-        assert config.t_end == 0.25  # variant override wins over plan override
-        assert config.u_max_threshold == 123.0
-        assert config.diffusion.alpha == 0.0
+        # each case is its variant's config at the case's alpha, nothing else
+        plan = small_plan()
+        keys = [(alpha, data_id) for alpha, data_id, _ in plan.cases]
+        assert keys == [(0.0, "bump"), (0.0, "flat"), (0.5, "bump"), (0.5, "flat")]
+        variants = {v.data_id: v.config for v in plan.variants}
+        for alpha, data_id, config in plan.cases:
+            variant = variants[data_id]
+            assert config == replace(variant, diffusion=replace(variant.diffusion, alpha=alpha))
 
 
 class TestPlanParsing:
@@ -331,14 +336,15 @@ class TestPlanParsing:
         plan = parse_plan(tmp_path / "sweep.plan")
         assert plan.alphas == (0.1, 0.9)
         assert plan.workers == 3
-        assert plan.t_end == 0.125
         ids = [v.data_id for v in plan.variants]
         assert ids == ["bump", "level", "ring"]
+        assert all(v.config.t_end == 0.125 for v in plan.variants)
         ring = plan.variants[ids.index("ring")]
-        assert ring.u_max_threshold == 50.0
-        level = plan.variants[ids.index("level")]
+        assert ring.config.u_max_threshold == 50.0
+        level = plan.variants[ids.index("level")].config
         assert isinstance(level.initial, ConstantData)
         assert level.initial.value == pytest.approx(3.0 / math.pi)
+        assert len(plan.cases) == 6
 
     def test_unknown_plan_key(self, tmp_path):
         from radtaxis.model import config_to_text
@@ -399,6 +405,41 @@ class TestPlanParsing:
         argv = ["sweep", "--plan", str(tmp_path / "p.plan"), "--out", str(tmp_path / "out")]
         assert main(argv + flags) == 2
 
+
+    @pytest.mark.parametrize("key", ["t_end", "u_max_threshold"])
+    def test_variant_override_beats_plan_beats_base(self, tmp_path, key):
+        from radtaxis.model import config_to_text
+
+        base = make_config(t_end=0.5, u_max_threshold=500.0)
+        (tmp_path / "base.cfg").write_text(config_to_text(base))
+        variants = f"variant = plain constant mass=1\nvariant = own constant mass=1 {key}=0.125\n"
+        seen = {}
+        for name, plan_line in (("bare", ""), ("planned", f"{key} = 0.25\n")):
+            (tmp_path / f"{name}.plan").write_text(f"base = base.cfg\nalphas = 0.5\n{plan_line}{variants}")
+            for _, data_id, config in parse_plan(tmp_path / f"{name}.plan").cases:
+                seen[name, data_id] = getattr(config, key)
+                other = "u_max_threshold" if key == "t_end" else "t_end"
+                assert getattr(config, other) == getattr(base, other)
+        assert seen == {
+            ("bare", "plain"): getattr(base, key),
+            ("bare", "own"): 0.125,
+            ("planned", "plain"): 0.25,
+            ("planned", "own"): 0.125,
+        }
+
+    @pytest.mark.parametrize("alphas,variant", [
+        ("0.5", "far gaussian mass=1 width=0.2 center=1.0"),  # bump centre at R
+        ("0.5, nan", "bump gaussian mass=1 width=0.2 center=0.0"),
+    ])
+    def test_invalid_case_config_exits_2_before_out_exists(self, tmp_path, alphas, variant, capsys):
+        from radtaxis.cli import main
+        from radtaxis.model import config_to_text
+
+        (tmp_path / "base.cfg").write_text(config_to_text(make_config()))
+        (tmp_path / "p.plan").write_text(f"base = base.cfg\nalphas = {alphas}\nvariant = {variant}\n")
+        assert main(["sweep", "--plan", str(tmp_path / "p.plan"), "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("data_id", ["a,b", 'a"b'])
     def test_variant_id_that_would_split_a_csv_field_exits_2(self, tmp_path, data_id, capsys):

@@ -78,5 +78,5 @@ def test_subcritical_plans_share_the_designated_bump():
         plan = parse_plan(CONFIG_DIR / name)
         assert plan.alphas == (0.0, 0.25, 0.5, 0.75, 0.9)
         (variant,) = plan.variants
-        assert isinstance(variant.initial, GaussianBump)
-        assert plan.t_end == pytest.approx(1.0)
+        assert isinstance(variant.config.initial, GaussianBump)
+        assert all(config.t_end == 1.0 for _, _, config in plan.cases)
