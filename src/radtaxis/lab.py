@@ -544,17 +544,24 @@ def write_sweep_timings(rows: Sequence[SweepRow], path: str | Path) -> None:
             writer.writerow([format_float(row.alpha), row.data_id, f"{row.wall_ms:.3f}"])
 
 
-_OVERRIDE_KEYS = ("t_end", "u_max_threshold")
+# Plan and variant keys that override the base config, with their parsers.
+_OVERRIDE_KEYS = {
+    "t_end": _parse_float,
+    "u_max_threshold": _parse_float,
+    "output_stride": _parse_int,
+    "scheme": lambda entries, key, source: entries[key],
+}
 _PLAN_KEYS = frozenset(["base", "alphas", "workers", "variant", *_OVERRIDE_KEYS])
 
 
 def parse_plan(path: str | Path) -> SweepPlan:
     """Parse a sweep plan file.
 
-    The config syntax (base, alphas, workers, t_end, u_max_threshold) plus
-    one `variant = <id> <kind> key=value...` line per data variant; the
-    base path is resolved relative to the plan file. A variant's t_end and
-    u_max_threshold win over the plan's, which win over the base config's.
+    The config syntax (base, alphas, workers, and the override keys t_end,
+    u_max_threshold, output_stride, scheme) plus one
+    `variant = <id> <kind> key=value...` line per data variant; the base
+    path is resolved relative to the plan file. A variant's override keys
+    win over the plan's, which win over the base config's.
     """
     path = Path(path)
     source = str(path)
@@ -569,10 +576,10 @@ def parse_plan(path: str | Path) -> SweepPlan:
 
 
 def _override(config: RunConfig, entries: dict[str, str], source: str, **changes) -> RunConfig:
-    """`config` with `changes` and the t_end and u_max_threshold of `entries`."""
-    for key in _OVERRIDE_KEYS:
+    """`config` with `changes` and the override keys of `entries`."""
+    for key, parse in _OVERRIDE_KEYS.items():
         if key in entries:
-            changes[key] = _parse_float(entries, key, source)
+            changes[key] = parse(entries, key, source)
     return replace(config, **changes)
 
 

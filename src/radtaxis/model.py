@@ -200,7 +200,8 @@ class RunConfig:
     """Full description of one simulation case.
 
     u_max_threshold and dt_min may be left None; they are then resolved at
-    run start as 1e6 * ||u0||_inf and 1e-12 * (first stable dt).
+    run start as 1e6 * ||u0||_inf and 1e-12 * (first stable dt). scheme
+    picks the transport step: "explicit" or the linearly "implicit" one.
     """
 
     geometry: Geometry
@@ -214,6 +215,7 @@ class RunConfig:
     dt_min: float | None = None
     output_stride: int = 1
     lp_exponents: tuple[float, ...] = field(default_factory=tuple)
+    scheme: str = "explicit"
 
     def __post_init__(self) -> None:
         if not isinstance(self.cells, int) or self.cells < 16:
@@ -228,6 +230,8 @@ class RunConfig:
             raise ConfigError(f"dt_min must be > 0, got {self.dt_min!r}")
         if not isinstance(self.output_stride, int) or self.output_stride < 1:
             raise ConfigError(f"output_stride must be an integer >= 1, got {self.output_stride!r}")
+        if self.scheme not in ("explicit", "implicit"):
+            raise ConfigError(f"scheme must be explicit or implicit, got {self.scheme!r}")
         object.__setattr__(self, "lp_exponents", tuple(float(p) for p in self.lp_exponents))
         for p in self.lp_exponents:
             if not (math.isfinite(p) and p > 1.0):
@@ -246,7 +250,7 @@ _CONFIG_KEYS = frozenset(
         "initial.kind", "initial.mass", "initial.width", "initial.center",
         "initial.r_lo", "initial.r_hi",
         "cells", "t_end", "cfl_safety", "u_max_threshold", "dt_min",
-        "output_stride", "lp",
+        "output_stride", "lp", "scheme",
     ]
 )
 _REQUIRED_KEYS = ("n", "R", "alpha", "kappa", "M", "initial.kind", "cells", "t_end")
@@ -353,6 +357,7 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         dt_min=_parse_float(entries, "dt_min", source) if "dt_min" in entries else None,
         output_stride=_parse_int(entries, "output_stride", source) if "output_stride" in entries else 1,
         lp_exponents=_parse_floats(entries, "lp", source) if entries.get("lp") else (),
+        scheme=entries.get("scheme", "explicit"),
     )
 
 
@@ -362,7 +367,10 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def config_to_text(config: RunConfig) -> str:
-    """Serialize a RunConfig back to the flat key=value format (canonical order)."""
+    """Serialize a RunConfig back to the flat key=value format (canonical order).
+
+    `scheme` is written only when it is not the default explicit one.
+    """
     lines = [
         f"n = {config.geometry.n}",
         f"R = {config.geometry.R!r}",
@@ -387,6 +395,8 @@ def config_to_text(config: RunConfig) -> str:
     lines.append(f"cells = {config.cells}")
     lines.append(f"t_end = {config.t_end!r}")
     lines.append(f"cfl_safety = {config.cfl_safety!r}")
+    if config.scheme != "explicit":
+        lines.append(f"scheme = {config.scheme}")
     if config.u_max_threshold is not None:
         lines.append(f"u_max_threshold = {config.u_max_threshold!r}")
     if config.dt_min is not None:

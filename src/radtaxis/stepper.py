@@ -1,25 +1,37 @@
-"""Explicit conservative transport of the density profile.
+"""Conservative transport of the density profile, explicit or linearly implicit.
 
-One step: face fluxes (central diffusion, donor-cell drift), forward-Euler
-update, round-off-scale negativity repair, fresh signal solve. One
-`face_flux` call per step evaluates D(u_face) once and returns both the
-fluxes and the exact per-cell positivity bound that sets dt; under that
-bound every new value is a nonnegative combination of the old ones in any
-dimension, so an undershoot past round-off is a numerical failure, not
+One explicit step: face fluxes (central diffusion, donor-cell drift),
+forward-Euler update, round-off-scale negativity repair, fresh signal
+solve. One `face_flux` call per step evaluates D(u_face) once and returns
+both the fluxes and the exact per-cell positivity bound that sets dt; under
+that bound every new value is a nonnegative combination of the old ones in
+any dimension, so an undershoot past round-off is a numerical failure, not
 something to retry. Interior fluxes telescope and both boundary faces
 carry exactly zero flux, so total mass is conserved to round-off at every
-step. Every end of a run is a StepOutcome, never an exception: dt collapse
-and sup-norm runaway, which double as the blow-up detector, a numerical
-failure, and a recorder that names a failed check (CHECK_FAILED).
+step.
+
+One implicit step (`implicit_step`, config `scheme = implicit`) freezes
+D(u_face) and the drift at the old level and solves the backward-Euler
+system of the same donor-split rates. Its matrix is an M-matrix whose every
+column sums to V_j / dt, so the update is nonnegative and conserves mass at
+any dt (Saito, IMA J. Numer. Anal. 27, 2007); dt is then set for accuracy
+by a controller on the relative sup-norm change per step (`advance`).
+
+Both schemes share the tail of a step: finiteness check, clip and repair,
+threshold check, signal solve. Every end of a run is a StepOutcome, never
+an exception: dt collapse and sup-norm runaway, which double as the
+blow-up detector, a numerical failure, and a recorder that names a failed
+check (CHECK_FAILED).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
+from scipy.linalg.lapack import dgtsv
 
 from .elliptic import EllipticSolution, solve_v
 from .errors import RadtaxisError
@@ -28,6 +40,12 @@ from .model import DiffusionLaw, RunConfig, sample_initial
 
 _NEG_CLIP_REL = 1e-13
 
+# Implicit dt controller: an attempt whose relative sup-norm change exceeds
+# IMPLICIT_TOL is rejected, and dt never exceeds t_end / IMPLICIT_MIN_STEPS,
+# which puts at least 8 accepted steps in lab's final 20% plateau window.
+IMPLICIT_TOL = 0.01
+IMPLICIT_MIN_STEPS = 40
+
 
 class StepStatus(Enum):
     ADVANCED = "advanced"
@@ -35,6 +53,7 @@ class StepStatus(Enum):
     THRESHOLD_EXCEEDED = "threshold_exceeded"
     NUMERICAL_FAILURE = "numerical_failure"
     CHECK_FAILED = "check_failed"
+    REJECTED = "rejected"
 
 
 @dataclass(frozen=True)
@@ -57,7 +76,12 @@ class SimState:
 
 @dataclass(frozen=True)
 class StepOutcome:
-    """Step result; `state` is populated only when status is ADVANCED."""
+    """Step result; `state` is populated only when status is ADVANCED.
+
+    An implicit step puts its relative sup-norm change in `measurement`,
+    both when ADVANCED and when REJECTED by the dt controller (a retry,
+    never the end of a run).
+    """
 
     status: StepStatus
     state: SimState | None = None
@@ -100,6 +124,19 @@ def initial_state(config: RunConfig, u0: RadialProfile | None = None) -> SimStat
     )
 
 
+def _transfer_rates(u: RadialProfile, vr_faces: np.ndarray, law: DiffusionLaw) -> tuple[np.ndarray, np.ndarray]:
+    """Donor-split rates of the interior faces: each face drains its inner
+    cell at `left` and its outer cell at `right` per unit density."""
+    values = u.values
+    grid = u.grid
+    u_face = np.maximum(0.5 * (values[:-1] + values[1:]), 0.0)
+    a = grid.inner_conductances * law.eval(u_face)
+    area_vr = grid.inner_face_areas * vr_faces[1:-1]
+    left = a + np.maximum(area_vr, 0.0)
+    right = a - np.minimum(area_vr, 0.0)
+    return left, right
+
+
 def face_flux(u: RadialProfile, vr_faces: np.ndarray, law: DiffusionLaw) -> tuple[np.ndarray, float]:
     """Face fluxes and the positivity bound, from one evaluation of D(u_face).
 
@@ -118,11 +155,7 @@ def face_flux(u: RadialProfile, vr_faces: np.ndarray, law: DiffusionLaw) -> tupl
     """
     values = u.values
     grid = u.grid
-    u_face = np.maximum(0.5 * (values[:-1] + values[1:]), 0.0)
-    a = grid.inner_conductances * law.eval(u_face)
-    area_vr = grid.inner_face_areas * vr_faces[1:-1]
-    left = a + np.maximum(area_vr, 0.0)
-    right = a - np.minimum(area_vr, 0.0)
+    left, right = _transfer_rates(u, vr_faces, law)
     flux = np.zeros(grid.n_cells + 1)
     flux[1:-1] = right * values[1:] - left * values[:-1]
 
@@ -137,6 +170,15 @@ def cfl_dt(u: RadialProfile, vr_faces: np.ndarray, law: DiffusionLaw, cfl_safety
     return cfl_safety * face_flux(u, vr_faces, law)[1]
 
 
+def _underflow(config: RunConfig, dt: float) -> StepOutcome | None:
+    """DT_UNDERFLOW when dt is below dt_min (None meaning zero), else None."""
+    dt_min = config.dt_min if config.dt_min is not None else 0.0
+    if dt < dt_min:
+        return StepOutcome(StepStatus.DT_UNDERFLOW, measurement=dt,
+                           message=f"dt {dt:.3e} fell below dt_min {dt_min:.3e}")
+    return None
+
+
 def step(state: SimState, config: RunConfig, dt: float, flux: np.ndarray | None = None) -> StepOutcome:
     """One forward-Euler step at the supplied dt.
 
@@ -145,11 +187,9 @@ def step(state: SimState, config: RunConfig, dt: float, flux: np.ndarray | None 
     means unbounded and a dt_min of None means zero (callers normally
     resolve both; see `advance`).
     """
-    dt_min = config.dt_min if config.dt_min is not None else 0.0
-    threshold = config.u_max_threshold if config.u_max_threshold is not None else math.inf
-    if dt < dt_min:
-        return StepOutcome(StepStatus.DT_UNDERFLOW, measurement=dt,
-                           message=f"dt {dt:.3e} fell below dt_min {dt_min:.3e}")
+    underflow = _underflow(config, dt)
+    if underflow is not None:
+        return underflow
 
     grid = state.u.grid
     if flux is None:
@@ -157,6 +197,71 @@ def step(state: SimState, config: RunConfig, dt: float, flux: np.ndarray | None 
     u_new = flux[1:] - flux[:-1]
     u_new *= dt / grid.volumes
     u_new += state.u.values
+    return _accept(state, config, dt, u_new)
+
+
+def _implicit_matrix(volumes: np.ndarray, dt: float, left: np.ndarray,
+                     right: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lower, diagonal, upper) of the backward-Euler transport matrix.
+
+    Row i is V_i/dt + left_i + right_{i-1} on the diagonal, -right_i above
+    it and -left_{i-1} below it, so column j sums to V_j/dt.
+    """
+    diagonal = volumes / dt
+    diagonal[:-1] += left
+    diagonal[1:] += right
+    return -left, diagonal, -right
+
+
+def _implicit_solve(volumes: np.ndarray, values: np.ndarray, dt: float, left: np.ndarray,
+                    right: np.ndarray) -> tuple[np.ndarray, int]:
+    """The density after dt from the backward-Euler system, and dgtsv's info."""
+    lower, diagonal, upper = _implicit_matrix(volumes, dt, left, right)
+    _, _, _, u_new, info = dgtsv(lower, diagonal, upper, volumes * values / dt,
+                                 overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)
+    return u_new, info
+
+
+def implicit_step(state: SimState, config: RunConfig, dt: float,
+                  rates: tuple[np.ndarray, np.ndarray] | None = None) -> StepOutcome:
+    """One linearly implicit step at the supplied dt.
+
+    `rates` is `_transfer_rates(...)` of this state, evaluated here when not
+    given. Solves (V/dt + A) u_new = V u / dt with LAPACK dgtsv. The matrix
+    is column diagonally dominant, so dgtsv never swaps rows and every
+    operation of the solve combines nonnegative numbers: u_new >= 0 at any
+    dt. An attempt whose relative sup-norm change exceeds IMPLICIT_TOL is
+    REJECTED and leaves the state as it was.
+    """
+    underflow = _underflow(config, dt)
+    if underflow is not None:
+        return underflow
+
+    values = state.u.values
+    if rates is None:
+        rates = _transfer_rates(state.u, state.elliptic.vr_faces, config.diffusion)
+    u_new, info = _implicit_solve(state.u.grid.volumes, values, dt, *rates)
+    if info != 0:
+        return StepOutcome(StepStatus.NUMERICAL_FAILURE, measurement=float(info),
+                           message=f"implicit transport matrix is singular (dgtsv info {info})")
+    linf = float(values.max())
+    jump = float(np.abs(u_new - values).max())
+    change = jump / linf if jump > 0.0 else 0.0
+    if change > IMPLICIT_TOL:
+        return StepOutcome(StepStatus.REJECTED, measurement=change,
+                           message=f"sup-norm change {change:.3e} exceeds {IMPLICIT_TOL:g}")
+    return _accept(state, config, dt, u_new, change)
+
+
+def _accept(state: SimState, config: RunConfig, dt: float, u_new: np.ndarray,
+            measurement: float | None = None) -> StepOutcome:
+    """The tail both schemes share: turn a raw update into the next state.
+
+    Finiteness check, round-off clip and repair, threshold check, signal
+    solve. `u_new` is modified in place.
+    """
+    threshold = config.u_max_threshold if config.u_max_threshold is not None else math.inf
+    grid = state.u.grid
     # min and max propagate NaN and show an infinity, so they double as the
     # finiteness check.
     pre_clip_min = float(u_new.min())
@@ -202,7 +307,7 @@ def step(state: SimState, config: RunConfig, dt: float, flux: np.ndarray | None 
         min_u_watermark=min(state.min_u_watermark, pre_clip_min),
         worst_residual=max(state.worst_residual, elliptic.residual),
     )
-    return StepOutcome(StepStatus.ADVANCED, state=new_state)
+    return StepOutcome(StepStatus.ADVANCED, state=new_state, measurement=measurement)
 
 
 def make_record(state: SimState, config: RunConfig) -> TraceRecord:
@@ -236,34 +341,85 @@ def resolve_limits(config: RunConfig, state: SimState, first_dt: float) -> RunCo
     return replace(config, u_max_threshold=threshold, dt_min=dt_min)
 
 
+def _explicit_march(state: SimState, config: RunConfig) -> Iterator[StepOutcome]:
+    """Explicit steps at cfl_safety times each state's positivity bound."""
+    resolved = None
+    while state.t < config.t_end:
+        flux, bound = face_flux(state.u, state.elliptic.vr_faces, config.diffusion)
+        dt = config.cfl_safety * bound
+        if resolved is None:
+            resolved = resolve_limits(config, state, dt)
+        outcome = step(state, resolved, dt, flux)
+        yield outcome
+        if outcome.status is not StepStatus.ADVANCED:
+            return
+        state = outcome.state
+
+
+def _implicit_march(state: SimState, config: RunConfig) -> Iterator[StepOutcome]:
+    """Implicit steps under the sup-norm-change controller.
+
+    dt starts at cfl_safety times the explicit positivity bound and never
+    exceeds t_end / IMPLICIT_MIN_STEPS. A rejected attempt halves it; an
+    accepted step scales it by min(2, 0.9 IMPLICIT_TOL / change). A dt that
+    covers the rest of the horizon is cut to it, and one that would leave
+    less than itself is cut to half of it, so no step is a round-off sliver.
+    The last step lands on t_end exactly: the cap keeps t >= t_end / 2
+    there, where t_end - t is exact (Sterbenz) and t + (t_end - t) rounds
+    to t_end. Yields accepted steps and the outcome that ends the run.
+    """
+    dt = cfl_dt(state.u, state.elliptic.vr_faces, config.diffusion, config.cfl_safety)
+    resolved = resolve_limits(config, state, dt)
+    dt_max = config.t_end / IMPLICIT_MIN_STEPS
+    rates = None
+    while state.t < config.t_end:
+        if rates is None:
+            rates = _transfer_rates(state.u, state.elliptic.vr_faces, config.diffusion)
+        remaining = config.t_end - state.t
+        dt = min(dt, dt_max)
+        if dt >= remaining:
+            dt = remaining
+        elif 2.0 * dt > remaining:
+            dt = 0.5 * remaining
+        outcome = implicit_step(state, resolved, dt, rates)
+        if outcome.status is StepStatus.REJECTED:
+            dt *= 0.5
+            continue
+        yield outcome
+        if outcome.status is not StepStatus.ADVANCED:
+            return
+        state, rates = outcome.state, None
+        change = outcome.measurement
+        dt *= min(2.0, 0.9 * IMPLICIT_TOL / change) if change > 0.0 else 2.0
+
+
 def advance(state: SimState, config: RunConfig, recorder: Recorder | None = None) -> tuple[StepOutcome, SimState]:
     """March to t_end, the sup-norm threshold, dt underflow, or a recorder stop.
 
-    The recorder fires at t = 0, every output_stride accepted steps, and at
-    termination. A recorder returns None to continue, or a reason that ends
-    the run at the recorded state as CHECK_FAILED, even on the record after a
-    non-advancing step. Identical configs yield bit-identical trajectories and
-    recorder streams.
+    config.scheme picks the explicit or the implicit march. The recorder
+    fires at t = 0, every output_stride accepted steps, and at termination.
+    A recorder returns None to continue, or a reason that ends the run at
+    the recorded state as CHECK_FAILED, even on the record after a
+    non-advancing step. Identical configs yield bit-identical trajectories
+    and recorder streams.
     """
-    resolved = None
 
     def record(current: SimState) -> str | None:
         return None if recorder is None else recorder(make_record(current, config), current)
 
     reason = record(state)
     stop = None
-    while reason is None and state.t < config.t_end:
-        flux, bound = face_flux(state.u, state.elliptic.vr_faces, config.diffusion)
-        dt = config.cfl_safety * bound
-        if resolved is None:
-            resolved = resolve_limits(config, state, dt)
-        outcome = step(state, resolved, dt, flux)
-        if outcome.status is not StepStatus.ADVANCED:
-            stop = outcome
-            break
-        state = outcome.state
-        if state.step_index % config.output_stride == 0:
-            reason = record(state)
+    if reason is None:
+        march = _implicit_march if config.scheme == "implicit" else _explicit_march
+        for outcome in march(state, config):
+            if outcome.status is not StepStatus.ADVANCED:
+                stop = outcome
+                break
+            state = outcome.state
+            if state.step_index % config.output_stride == 0:
+                reason = record(state)
+                if reason is not None:
+                    break
     # States at a multiple of output_stride, t = 0 included, are recorded.
     if reason is None and state.step_index % config.output_stride:
         reason = record(state)

@@ -27,7 +27,12 @@ LOG_SPAN_DECADES = 3.0
 
 
 def read_table(path: str | Path) -> dict[str, list[float]]:
-    """Read a CSV with a header row into ordered float columns."""
+    """Read a CSV with a header row into ordered float columns.
+
+    A repeated column name, or a row whose length differs from the
+    header's, is a ConfigError: either would pair values with the wrong x.
+    Empty lines are skipped; an unparseable cell reads as NaN.
+    """
     path = Path(path)
     with path.open("r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -36,7 +41,15 @@ def read_table(path: str | Path) -> dict[str, list[float]]:
         except StopIteration:
             raise ConfigError(f"{path}: empty CSV, no header row") from None
         columns: dict[str, list[float]] = {name: [] for name in header}
+        if len(columns) < len(header):
+            repeated = next(name for i, name in enumerate(header) if name in header[:i])
+            raise ConfigError(f"{path}: column {repeated!r} appears more than once in the header")
         for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ConfigError(f"{path}:{reader.line_num}: row has {len(row)} fields, "
+                                  f"the header has {len(header)}")
             for name, cell in zip(header, row):
                 try:
                     columns[name].append(float(cell))

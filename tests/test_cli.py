@@ -68,6 +68,13 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "wibble" in capsys.readouterr().err
 
+    def test_unknown_scheme_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "broken.cfg"
+        cfg.write_text(GOOD + "\nscheme = semi\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "scheme" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_file_exits_3(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")]) == 3
@@ -214,3 +221,29 @@ class TestRenderSvg:
         table = read_table(csv_path)
         assert table["t"] == [0.0, 1.0]
         assert all(math.isnan(v) for v in table["verdict"])
+
+    @pytest.mark.parametrize("text,message", [
+        ("t,a,a\n0,1,5\n1,2,6\n2,3,7\n", "more than once"),  # would read a = [1, 5, 2, 6, 3, 7]
+        ("t,a\n0,1\n1\n2,3\n", "1 fields"),  # would plot 3 at t = 1
+        ("t,a\n0,1\n1,2,9\n", "3 fields"),
+    ], ids=["repeated_header", "short_row", "long_row"])
+    def test_read_table_rejects_misaligned_columns(self, tmp_path, text, message):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            read_table(csv_path)
+
+    @pytest.mark.parametrize("text", ["t,a,a\n0,1,5\n1,2,6\n", "t,a\n0,1\n1\n2,3\n"],
+                             ids=["repeated_header", "short_row"])
+    def test_plot_of_misaligned_csv_exits_2(self, tmp_path, text, capsys):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text(text)
+        svg = tmp_path / "bad.svg"
+        assert main(["plot", "--csv", str(csv_path), "--cols", "a", "--out", str(svg)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not svg.exists()
+
+    def test_read_table_skips_empty_lines(self, tmp_path):
+        csv_path = tmp_path / "gappy.csv"
+        csv_path.write_text("t,a\n0,1\n\n1,2\n")
+        assert read_table(csv_path) == {"t": [0.0, 1.0], "a": [1.0, 2.0]}

@@ -406,30 +406,37 @@ class TestPlanParsing:
         assert main(argv + flags) == 2
 
 
-    @pytest.mark.parametrize("key", ["t_end", "u_max_threshold"])
-    def test_variant_override_beats_plan_beats_base(self, tmp_path, key):
+    @pytest.mark.parametrize("key,planned,own", [
+        ("t_end", "0.25", "0.125"),
+        ("u_max_threshold", "0.25", "0.125"),
+        ("output_stride", "7", "3"),
+        # two values only: the base's explicit, so "own" shows it beats the plan
+        ("scheme", "implicit", "explicit"),
+    ], ids=["t_end", "u_max_threshold", "output_stride", "scheme"])
+    def test_variant_override_beats_plan_beats_base(self, tmp_path, key, planned, own):
         from radtaxis.model import config_to_text
 
         base = make_config(t_end=0.5, u_max_threshold=500.0)
         (tmp_path / "base.cfg").write_text(config_to_text(base))
-        variants = f"variant = plain constant mass=1\nvariant = own constant mass=1 {key}=0.125\n"
+        variants = f"variant = plain constant mass=1\nvariant = own constant mass=1 {key}={own}\n"
+        others = [k for k in lab._OVERRIDE_KEYS if k != key]
         seen = {}
-        for name, plan_line in (("bare", ""), ("planned", f"{key} = 0.25\n")):
+        for name, plan_line in (("bare", ""), ("planned", f"{key} = {planned}\n")):
             (tmp_path / f"{name}.plan").write_text(f"base = base.cfg\nalphas = 0.5\n{plan_line}{variants}")
             for _, data_id, config in parse_plan(tmp_path / f"{name}.plan").cases:
-                seen[name, data_id] = getattr(config, key)
-                other = "u_max_threshold" if key == "t_end" else "t_end"
-                assert getattr(config, other) == getattr(base, other)
+                seen[name, data_id] = str(getattr(config, key))
+                assert all(getattr(config, other) == getattr(base, other) for other in others)
         assert seen == {
-            ("bare", "plain"): getattr(base, key),
-            ("bare", "own"): 0.125,
-            ("planned", "plain"): 0.25,
-            ("planned", "own"): 0.125,
+            ("bare", "plain"): str(getattr(base, key)),
+            ("bare", "own"): own,
+            ("planned", "plain"): planned,
+            ("planned", "own"): own,
         }
 
     @pytest.mark.parametrize("alphas,variant", [
         ("0.5", "far gaussian mass=1 width=0.2 center=1.0"),  # bump centre at R
         ("0.5, nan", "bump gaussian mass=1 width=0.2 center=0.0"),
+        ("0.5", "bump gaussian mass=1 width=0.2 center=0.0 scheme=semi"),
     ])
     def test_invalid_case_config_exits_2_before_out_exists(self, tmp_path, alphas, variant, capsys):
         from radtaxis.cli import main

@@ -174,7 +174,26 @@ class TestConfigParsing:
 
     def test_roundtrip_through_text(self):
         config = parse_config(GOOD_CONFIG)
+        assert config.scheme == "explicit"
         assert parse_config(config_to_text(config)) == config
+
+    def test_implicit_config_round_trips(self):
+        config = parse_config(GOOD_CONFIG + "scheme = implicit\n")
+        assert config.scheme == "implicit"
+        text = config_to_text(config)
+        assert "scheme = implicit" in text.splitlines()
+        assert parse_config(text) == config
+
+    def test_explicit_scheme_is_not_written(self):
+        # so every explicit report.txt keeps its config echo byte for byte
+        explicit = parse_config(GOOD_CONFIG + "scheme = explicit\n")
+        assert explicit == parse_config(GOOD_CONFIG)
+        assert "scheme" not in config_to_text(explicit)
+
+    @pytest.mark.parametrize("value", ["Implicit", "crank-nicolson", ""])
+    def test_unknown_scheme_rejected(self, value):
+        with pytest.raises(ConfigError, match="scheme"):
+            parse_config(GOOD_CONFIG + f"scheme = {value}\n")
 
     def test_invalid_cells(self):
         with pytest.raises(ConfigError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from radtaxis.cli import main
-from radtaxis.lab import BLOWUP_SUSPECTED, parse_plan, run_sweep
+from radtaxis.lab import BLOWUP_SUSPECTED, BOUNDED, PLATEAU_WINDOW, parse_plan, run_case, run_sweep
 from radtaxis.model import GaussianBump, load_config
 from radtaxis.stepper import initial_state
 
@@ -80,3 +80,28 @@ def test_subcritical_plans_share_the_designated_bump():
         (variant,) = plan.variants
         assert isinstance(variant.config.initial, GaussianBump)
         assert all(config.t_end == 1.0 for _, _, config in plan.cases)
+        assert all(config.scheme == "implicit" and config.output_stride == 1
+                   for _, _, config in plan.cases)
+
+
+@pytest.mark.parametrize("name", ["sweep_subcritical_n2.plan", "sweep_subcritical_n3.plan"])
+def test_subcritical_plan_cases_plateau_on_enough_samples(name):
+    # The dt cap t_end / 40 leaves at least 8 accepted steps, all recorded,
+    # in the final 20% window that the plateau verdict reads.
+    for alpha, _, config in parse_plan(CONFIG_DIR / name).cases:
+        report = run_case(config)
+        window = [r for r in report.records if r.t >= (1.0 - PLATEAU_WINDOW) * config.t_end]
+        assert report.verdict.kind == BOUNDED, alpha
+        assert all(check.passed for check in report.checks), alpha
+        assert len(window) >= 8, (alpha, len(window))
+        assert report.terminal_t == config.t_end
+
+
+def test_implicit_plan_table_is_identical_for_one_and_two_workers(tmp_path):
+    tables = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        assert main(["sweep", "--plan", str(CONFIG_DIR / "sweep_subcritical_n3.plan"),
+                     "--out", str(out), "--workers", str(workers)]) == 0
+        tables.append((out / "sweep.csv").read_bytes())
+    assert tables[0] == tables[1]

@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from radtaxis import stepper
 from radtaxis.elliptic import EllipticSolution, solve_v
 from radtaxis.grid import RadialGrid, RadialProfile, integrate
 from radtaxis.lab import run_case
@@ -13,8 +16,26 @@ from radtaxis.model import (
     GaussianBump,
     Geometry,
     RunConfig,
+    load_config,
 )
-from radtaxis.stepper import SimState, StepStatus, advance, cfl_dt, face_flux, initial_state, step
+from radtaxis.stepper import (
+    IMPLICIT_MIN_STEPS,
+    IMPLICIT_TOL,
+    SimState,
+    StepOutcome,
+    StepStatus,
+    _implicit_matrix,
+    _implicit_solve,
+    _transfer_rates,
+    advance,
+    cfl_dt,
+    face_flux,
+    implicit_step,
+    initial_state,
+    step,
+)
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def make_config(**overrides):
@@ -465,3 +486,97 @@ def test_grid_convergence_subcritical_case():
         results.append(float(np.max(final.u.values)))
     order = math.log2(abs(results[0] - results[1]) / abs(results[1] - results[2]))
     assert order >= 1.0
+
+
+class TestImplicitStep:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_thousand_times_the_explicit_bound_conserves_mass_and_sign(self, n):
+        config = make_config(geometry=Geometry(n, 1.0), cells=128)
+        state = initial_state(config)
+        grid = state.u.grid
+        rates = _transfer_rates(state.u, state.elliptic.vr_faces, config.diffusion)
+        dt = 1000.0 * face_flux(state.u, state.elliptic.vr_faces, config.diffusion)[1]
+        u_new, info = _implicit_solve(grid.volumes, state.u.values, dt, *rates)
+        assert info == 0
+        mass0 = integrate(state.u)
+        assert abs(float(np.dot(grid.volumes, u_new)) - mass0) <= 1e-13 * mass0
+        assert u_new.min() >= 0.0
+
+    def test_columns_sum_to_volume_over_dt(self):
+        # drift of both signs, so both donor choices appear
+        grid = RadialGrid(Geometry(2, 1.0), 32)
+        u = RadialProfile(grid, 1.0 + np.sin(7.0 * grid.center_radii) ** 2)
+        vr = np.zeros(33)
+        vr[1:-1] = 3.0 * np.cos(11.0 * grid.face_radii[1:-1])
+        law = DiffusionLaw(alpha=0.5, kappa=1.0)
+        left, right = _transfer_rates(u, vr, law)
+        assert (left > right).any() and (right > left).any()
+        dt = 1e-3
+        lower, diagonal, upper = _implicit_matrix(grid.volumes, dt, left, right)
+        matrix = np.diag(diagonal) + np.diag(lower, -1) + np.diag(upper, 1)
+        assert np.all(matrix - np.diag(diagonal) <= 0.0)
+        scale = np.abs(matrix).sum(axis=0)
+        assert np.all(np.abs(matrix.sum(axis=0) - grid.volumes / dt) <= 1e-15 * scale)
+
+    def test_rejected_attempt_leaves_the_state_untouched(self):
+        config = make_config(scheme="implicit")
+        state = initial_state(config)
+        before = state.u.values.copy()
+        dt = 1000.0 * cfl_dt(state.u, state.elliptic.vr_faces, config.diffusion, 1.0)
+        outcome = implicit_step(state, config, dt)
+        assert outcome.status is StepStatus.REJECTED
+        assert outcome.state is None
+        assert outcome.measurement > IMPLICIT_TOL
+        assert np.array_equal(state.u.values, before)
+
+    def test_controller_halves_dt_after_a_rejection_and_retries_the_same_state(self, monkeypatch):
+        calls = []
+        original = stepper.implicit_step
+
+        def rejecting_third(state, config, dt, rates=None):
+            calls.append((state, dt))
+            if len(calls) == 3:
+                return StepOutcome(StepStatus.REJECTED, measurement=1.0)
+            return original(state, config, dt, rates)
+
+        monkeypatch.setattr(stepper, "implicit_step", rejecting_third)
+        config = make_config(scheme="implicit", t_end=1e-2)
+        outcome, final = advance(initial_state(config), config)
+        assert outcome.status is StepStatus.ADVANCED
+        (state2, dt2), (state3, dt3) = calls[2], calls[3]
+        assert state3 is state2
+        assert dt3 == 0.5 * dt2
+        assert final.step_index == len(calls) - 1
+
+    @pytest.mark.parametrize("t_end", [0.0123, 1.0 / 3.0])
+    def test_last_step_lands_exactly_on_t_end(self, t_end):
+        config = make_config(scheme="implicit", t_end=t_end, cells=32)
+        records = []
+        outcome, final = advance(initial_state(config), config, lambda rec, st: records.append(rec))
+        assert outcome.status is StepStatus.ADVANCED
+        assert final.t == t_end
+        assert records[-1].t == t_end
+        # no step exceeds the cap, and no round-off sliver is left at the end
+        dts = [rec.dt for rec in records[1:]]
+        assert max(dts) <= t_end / IMPLICIT_MIN_STEPS
+        assert dts[-1] >= 0.25 * max(dts[-3:])
+
+    def test_threshold_and_underflow_end_an_implicit_run(self):
+        config = make_config(scheme="implicit", u_max_threshold=8.0, t_end=1.0)
+        state = initial_state(config)
+        assert advance(state, config)[0].status is StepStatus.THRESHOLD_EXCEEDED
+        outcome, final = advance(state, replace(config, u_max_threshold=None, dt_min=1.0))
+        assert outcome.status is StepStatus.DT_UNDERFLOW
+        assert final is state
+
+
+@pytest.mark.parametrize("name", ["default.cfg", "default_n3.cfg"])
+def test_implicit_final_profile_matches_explicit(name):
+    # Measured 0.47% (n = 2) and 0.66% (n = 3) in 122 and 164 implicit steps
+    # against 10,797 and 10,770 explicit ones.
+    config = load_config(CONFIG_DIR / name)
+    assert config.t_end == 0.05 and config.scheme == "explicit"
+    finals = [advance(initial_state(c), c)[1] for c in (config, replace(config, scheme="implicit"))]
+    explicit, implicit = (f.u.values for f in finals)
+    assert finals[1].step_index < finals[0].step_index / 50
+    assert np.abs(implicit - explicit).max() <= 0.01 * explicit.max()
