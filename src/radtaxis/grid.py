@@ -7,10 +7,10 @@ makes conservation statements exact rather than quadrature-approximate.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -104,11 +104,17 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """Stream a table of formatted fields to `path`: comma-joined, unquoted,
+    each line ending in \\n. Every CSV the package writes goes through here,
+    so no field may hold a comma, a double quote or a line break."""
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
+
+
 def write_state_csv(path: str | Path, grid: RadialGrid, u: np.ndarray, v: np.ndarray) -> None:
     """Simulation snapshot: columns r,value,v, one row per cell."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["r", "value", "v"])
-        for r, uv, vv in zip(grid.center_radii, u, v):
-            writer.writerow([format_float(r), format_float(uv), format_float(vv)])
+    write_csv(path, ("r", "value", "v"),
+              ((format_float(r), format_float(uv), format_float(vv))
+               for r, uv, vv in zip(grid.center_radii, u, v)))

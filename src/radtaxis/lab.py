@@ -9,7 +9,6 @@ distinguish genuine singularity formation from resolution exhaustion.
 """
 from __future__ import annotations
 
-import csv
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -27,19 +26,20 @@ from .grid import (
     format_float,
     integrate,
     lp_norm,
+    write_csv,
 )
 from .model import (
     BoundaryDatum,
     ConstantData,
     Geometry,
     RunConfig,
-    _parse_float,
     _parse_floats,
     _parse_int,
     config_to_text,
     load_config,
     parse_flat_keys,
     parse_initial,
+    parse_run_keys,
 )
 from .stepper import (
     SimState,
@@ -63,8 +63,6 @@ SIGNAL_BOUND_TOL = 1e-12
 FLUX_BOUND_SLACK = 1e-8
 PLATEAU_WINDOW = 0.2
 PLATEAU_GROWTH = 0.01
-
-SWEEP_CSV_HEADER = "alpha,data_id,verdict,peak_linf,terminal_t,steps,wall_ms"
 
 
 @dataclass(frozen=True)
@@ -489,18 +487,22 @@ def run_sweep(plan: SweepPlan) -> list[SweepRow]:
     """Run the alpha x data cross product; rows sorted by (alpha, data_id).
 
     Output is keyed by case, never by completion order, so the table is
-    identical for any worker count. A crashing case becomes a
+    identical for any worker count. At most one worker is forked per case,
+    and one worker runs in-process. A crashing case becomes a
     tolerance_failure row naming the exception; the sweep continues.
     """
     rows: list[SweepRow | None] = [None] * len(plan.cases)
-    if plan.workers == 1:
+    workers = min(plan.workers, len(plan.cases))
+    if workers == 1:
         for index, case in enumerate(plan.cases):
             try:
                 rows[index] = _sweep_case(case)
             except Exception as exc:
                 rows[index] = _fault_row(case[0], case[1], exc)
     else:
-        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
+        # The fork start method launches all max_workers processes at the
+        # first submit, so the cap above also bounds the forks.
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_sweep_case, case) for case in plan.cases]
             for index, future in enumerate(futures):
                 try:
@@ -510,47 +512,22 @@ def run_sweep(plan: SweepPlan) -> list[SweepRow]:
     return [row for row in rows if row is not None]
 
 
-def sweep_csv_lines(rows: Sequence[SweepRow]) -> list[str]:
+def write_sweep_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
     """Deterministic sweep table; the wall_ms field is left empty because
     measured timings would break byte-for-byte reproducibility (real timings
     go to the sidecar written by write_sweep_timings)."""
-    lines = [SWEEP_CSV_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    format_float(row.alpha),
-                    row.data_id,
-                    row.verdict,
-                    format_float(row.peak_linf),
-                    format_float(row.terminal_t),
-                    str(row.steps),
-                    "",
-                ]
-            )
-        )
-    return lines
-
-
-def write_sweep_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
-    Path(path).write_text("\n".join(sweep_csv_lines(rows)) + "\n", encoding="utf-8")
+    write_csv(path, ("alpha", "data_id", "verdict", "peak_linf", "terminal_t", "steps", "wall_ms"),
+              ((format_float(row.alpha), row.data_id, row.verdict, format_float(row.peak_linf),
+                format_float(row.terminal_t), str(row.steps), "") for row in rows))
 
 
 def write_sweep_timings(rows: Sequence[SweepRow], path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["alpha", "data_id", "wall_ms"])
-        for row in rows:
-            writer.writerow([format_float(row.alpha), row.data_id, f"{row.wall_ms:.3f}"])
+    write_csv(path, ("alpha", "data_id", "wall_ms"),
+              ((format_float(row.alpha), row.data_id, f"{row.wall_ms:.3f}") for row in rows))
 
 
-# Plan and variant keys that override the base config, with their parsers.
-_OVERRIDE_KEYS = {
-    "t_end": _parse_float,
-    "u_max_threshold": _parse_float,
-    "output_stride": _parse_int,
-    "scheme": lambda entries, key, source: entries[key],
-}
+# Run-control keys that a plan or a variant may set over the base config.
+_OVERRIDE_KEYS = ("t_end", "u_max_threshold", "output_stride", "scheme")
 _PLAN_KEYS = frozenset(["base", "alphas", "workers", "variant", *_OVERRIDE_KEYS])
 
 
@@ -577,10 +554,7 @@ def parse_plan(path: str | Path) -> SweepPlan:
 
 def _override(config: RunConfig, entries: dict[str, str], source: str, **changes) -> RunConfig:
     """`config` with `changes` and the override keys of `entries`."""
-    for key, parse in _OVERRIDE_KEYS.items():
-        if key in entries:
-            changes[key] = parse(entries, key, source)
-    return replace(config, **changes)
+    return replace(config, **changes, **parse_run_keys(entries, source, _OVERRIDE_KEYS))
 
 
 def _parse_variant(line: str, base: RunConfig, source: str) -> SweepVariant:
@@ -610,21 +584,13 @@ def _parse_variant(line: str, base: RunConfig, source: str) -> SweepVariant:
 # persistence helpers shared by the CLI
 
 
-def trace_csv_lines(records: Sequence[TraceRecord], lp_exponents: Sequence[float]) -> list[str]:
-    header = ["t", "dt", "mass", "linf"]
-    header += [f"lp_{p:g}" for p in lp_exponents]
-    header += ["u_boundary", "dv_dnu", "u_min"]
-    lines = [",".join(header)]
-    for rec in records:
-        fields = [rec.t, rec.dt, rec.mass, rec.linf, *rec.lp, rec.u_boundary,
-                  rec.boundary_flux, rec.u_min]
-        lines.append(",".join(format_float(x) for x in fields))
-    return lines
-
-
 def write_trace_csv(records: Sequence[TraceRecord], lp_exponents: Sequence[float],
                     path: str | Path) -> None:
-    Path(path).write_text("\n".join(trace_csv_lines(records, lp_exponents)) + "\n", encoding="utf-8")
+    header = ["t", "dt", "mass", "linf", *(f"lp_{p:g}" for p in lp_exponents),
+              "u_boundary", "dv_dnu", "u_min"]
+    fields = ((rec.t, rec.dt, rec.mass, rec.linf, *rec.lp, rec.u_boundary, rec.boundary_flux, rec.u_min)
+              for rec in records)
+    write_csv(path, header, ([format_float(x) for x in row] for row in fields))
 
 
 def report_lines(report: CaseReport) -> list[str]:

@@ -243,16 +243,6 @@ class RunConfig:
             raise ConfigError(f"annulus outer radius {self.initial.r_hi} must be <= R = {R}")
 
 
-# Flat config-file vocabulary; anything else is a hard error.
-_CONFIG_KEYS = frozenset(
-    [
-        "n", "R", "alpha", "kappa", "M",
-        "initial.kind", "initial.mass", "initial.width", "initial.center",
-        "initial.r_lo", "initial.r_hi",
-        "cells", "t_end", "cfl_safety", "u_max_threshold", "dt_min",
-        "output_stride", "lp", "scheme",
-    ]
-)
 _REQUIRED_KEYS = ("n", "R", "alpha", "kappa", "M", "initial.kind", "cells", "t_end")
 _KIND_KEYS = {
     "constant": frozenset(["initial.mass"]),
@@ -308,10 +298,41 @@ def _parse_int(entries: dict[str, str], key: str, source: str) -> int:
 
 
 def _parse_floats(entries: dict[str, str], key: str, source: str) -> tuple[float, ...]:
+    raw = entries[key]
     try:
-        return tuple(float(tok) for tok in entries[key].split(","))
+        return tuple(float(tok) for tok in raw.split(",")) if raw else ()
     except ValueError as exc:
         raise ConfigError(f"{source}: key {key!r} must be a comma-separated list of numbers") from exc
+
+
+def _parse_text(entries: dict[str, str], key: str, source: str) -> str:
+    return entries[key]
+
+
+# Run-control keys: config key -> (RunConfig field, parser), in parse order.
+# A config and a sweep plan's overrides both read these keys through
+# parse_run_keys; a key left unset takes the field's default on RunConfig.
+_RUN_KEYS = {
+    "cells": ("cells", _parse_int),
+    "t_end": ("t_end", _parse_float),
+    "cfl_safety": ("cfl_safety", _parse_float),
+    "u_max_threshold": ("u_max_threshold", _parse_float),
+    "dt_min": ("dt_min", _parse_float),
+    "output_stride": ("output_stride", _parse_int),
+    "lp": ("lp_exponents", _parse_floats),
+    "scheme": ("scheme", _parse_text),
+}
+# Flat config-file vocabulary; anything else is a hard error.
+_CONFIG_KEYS = frozenset(["n", "R", "alpha", "kappa", "M", "initial.kind",
+                          *frozenset().union(*_KIND_KEYS.values()), *_RUN_KEYS])
+
+
+def parse_run_keys(entries: dict[str, str], source: str,
+                   keys: Collection[str] = _RUN_KEYS) -> dict[str, object]:
+    """RunConfig keyword arguments for the run-control keys in `keys` that
+    `entries` sets."""
+    return {_RUN_KEYS[key][0]: _RUN_KEYS[key][1](entries, key, source)
+            for key in keys if key in entries}
 
 
 def parse_initial(entries: dict[str, str], geometry: Geometry, source: str) -> InitialData:
@@ -350,14 +371,7 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         ),
         boundary=BoundaryDatum(M=_parse_float(entries, "M", source)),
         initial=parse_initial(entries, geometry, source),
-        cells=_parse_int(entries, "cells", source),
-        t_end=_parse_float(entries, "t_end", source),
-        cfl_safety=_parse_float(entries, "cfl_safety", source) if "cfl_safety" in entries else 0.4,
-        u_max_threshold=_parse_float(entries, "u_max_threshold", source) if "u_max_threshold" in entries else None,
-        dt_min=_parse_float(entries, "dt_min", source) if "dt_min" in entries else None,
-        output_stride=_parse_int(entries, "output_stride", source) if "output_stride" in entries else 1,
-        lp_exponents=_parse_floats(entries, "lp", source) if entries.get("lp") else (),
-        scheme=entries.get("scheme", "explicit"),
+        **parse_run_keys(entries, source),
     )
 
 

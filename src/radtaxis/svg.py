@@ -62,6 +62,15 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
+def _span(values: Sequence[float]) -> tuple[float, float]:
+    """Axis range of `values`: (0, 1) when empty, widened when flat."""
+    lo, hi = (min(values), max(values)) if values else (0.0, 1.0)
+    if lo == hi:
+        pad = abs(lo) * 0.05 or 1.0
+        lo, hi = lo - pad, hi + pad
+    return lo, hi
+
+
 def _fmt(value: float) -> str:
     return format(value, ".4g")
 
@@ -95,25 +104,10 @@ def render_svg(table: Mapping[str, Sequence[float]], columns: Sequence[str],
         max(y_values) / min(y_values) > 10.0 ** LOG_SPAN_DECADES
     )
 
-    if x_values:
-        x_lo, x_hi = min(x_values), max(x_values)
-    else:
-        x_lo, x_hi = 0.0, 1.0
-    if x_lo == x_hi:
-        pad = abs(x_lo) * 0.05 or 1.0
-        x_lo, x_hi = x_lo - pad, x_hi + pad
-
-    if y_values:
-        if log_y:
-            y_lo = math.log10(min(y_values))
-            y_hi = math.log10(max(y_values))
-        else:
-            y_lo, y_hi = min(y_values), max(y_values)
-    else:
-        y_lo, y_hi = 0.0, 1.0
-    if y_lo == y_hi:
-        pad = abs(y_lo) * 0.05 or 1.0
-        y_lo, y_hi = y_lo - pad, y_hi + pad
+    x_lo, x_hi = _span(x_values)
+    y_lo, y_hi = _span(y_values)
+    if log_y:  # values span over three decades, so _span added no padding
+        y_lo, y_hi = math.log10(y_lo), math.log10(y_hi)
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM

@@ -24,8 +24,8 @@ from radtaxis.lab import (
     parse_plan,
     run_case,
     run_sweep,
-    sweep_csv_lines,
-    trace_csv_lines,
+    write_sweep_csv,
+    write_trace_csv,
 )
 from radtaxis.model import (
     BoundaryDatum,
@@ -152,7 +152,7 @@ def test_criterion_7_zero_fixed_point():
          f"steps=10000 worst_u={worst_u} worst_v_dev={worst_v:.2e}")
 
 
-def test_criterion_8_determinism_and_separation():
+def test_criterion_8_determinism_and_separation(tmp_path):
     config = RunConfig(
         geometry=Geometry(2, 1.0),
         diffusion=DiffusionLaw(alpha=0.5, kappa=1.0),
@@ -168,7 +168,8 @@ def test_criterion_8_determinism_and_separation():
     for _ in range(2):
         records = []
         advance(initial_state(config), config, lambda rec, st: records.append(rec))
-        csvs.append("\n".join(trace_csv_lines(records, config.lp_exponents)).encode())
+        write_trace_csv(records, config.lp_exponents, tmp_path / "trace.csv")
+        csvs.append((tmp_path / "trace.csv").read_bytes())
     identical = csvs[0] == csvs[1]
 
     ts, ws = paired_separation(initial_state(config), config, eps=1e-6, steps=500)
@@ -224,7 +225,8 @@ def test_criterion_11_sweep_worker_determinism(tmp_path):
             ),
             workers=workers,
         )
-        tables.append(("\n".join(sweep_csv_lines(run_sweep(plan))) + "\n").encode())
+        write_sweep_csv(run_sweep(plan), tmp_path / "sweep.csv")
+        tables.append((tmp_path / "sweep.csv").read_bytes())
     emit(11, "sweep_worker_determinism",
          tables[0] == tables[1] == tables[2],
          f"bytes={len(tables[0])} workers=(1,2,8)")

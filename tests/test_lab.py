@@ -22,9 +22,9 @@ from radtaxis.lab import (
     report_lines,
     run_case,
     run_sweep,
-    sweep_csv_lines,
-    trace_csv_lines,
     verify_suite,
+    write_sweep_csv,
+    write_trace_csv,
 )
 from radtaxis.model import (
     BoundaryDatum,
@@ -281,17 +281,36 @@ class TestSweep:
         keys = [(row.alpha, row.data_id) for row in rows]
         assert keys == sorted(keys)
 
-    def test_worker_counts_agree_to_the_byte(self):
+    def test_worker_counts_agree_to_the_byte(self, tmp_path):
         tables = []
         for workers in (1, 2):
-            rows = run_sweep(small_plan(workers=workers))
-            tables.append("\n".join(sweep_csv_lines(rows)))
+            write_sweep_csv(run_sweep(small_plan(workers=workers)), tmp_path / "sweep.csv")
+            tables.append((tmp_path / "sweep.csv").read_bytes())
         assert tables[0] == tables[1]
 
-    def test_wall_ms_column_is_empty_for_reproducibility(self):
-        lines = sweep_csv_lines(run_sweep(small_plan(alphas=(0.5,))))
+    def test_wall_ms_column_is_empty_for_reproducibility(self, tmp_path):
+        write_sweep_csv(run_sweep(small_plan(alphas=(0.5,))), tmp_path / "sweep.csv")
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[0] == "alpha,data_id,verdict,peak_linf,terminal_t,steps,wall_ms"
         assert all(line.endswith(",") for line in lines[1:])
+
+    def test_forks_at_most_one_worker_per_case(self, monkeypatch):
+        pool_sizes = []
+
+        class RecordingPool(lab.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pool_sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(lab, "ProcessPoolExecutor", RecordingPool)
+
+        def untimed(plan):
+            return [replace(row, wall_ms=0.0) for row in run_sweep(plan)]
+
+        one_case = dict(alphas=(0.5,), variants=(small_plan().variants[0],))
+        assert untimed(small_plan(workers=8)) == untimed(small_plan())  # four cases
+        assert untimed(small_plan(workers=8, **one_case)) == untimed(small_plan(**one_case))
+        assert pool_sizes == [4]
 
     def test_crashing_case_becomes_tolerance_failure_row(self):
         # width 1e-300 underflows to a zero profile, so sampling raises inside
@@ -464,10 +483,11 @@ class TestPlanParsing:
 
 
 class TestPersistence:
-    def test_trace_csv_layout(self):
+    def test_trace_csv_layout(self, tmp_path):
         config = make_config()
         report = run_case(config)
-        lines = trace_csv_lines(report.records, config.lp_exponents)
+        write_trace_csv(report.records, config.lp_exponents, tmp_path / "trace.csv")
+        lines = (tmp_path / "trace.csv").read_text().splitlines()
         assert lines[0] == "t,dt,mass,linf,lp_2,u_boundary,dv_dnu,u_min"
         assert len(lines) == len(report.records) + 1
         first = lines[1].split(",")

@@ -1,4 +1,7 @@
 import math
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,8 @@ from radtaxis.model import (
     GaussianBump,
     Geometry,
     RunConfig,
+    _CONFIG_KEYS,
+    _RUN_KEYS,
     config_to_text,
     parse_config,
     sample_initial,
@@ -122,6 +127,19 @@ cfl_safety = 0.6
 output_stride = 10
 lp = 2, 4
 """
+REQUIRED_ONLY = "\n".join(line for line in GOOD_CONFIG.splitlines()
+                          if not line.startswith(("cfl_safety", "output_stride", "lp")))
+# A value other than RunConfig's default for every run-control key.
+RUN_KEY_VALUES = {
+    "cells": 48,
+    "t_end": 0.125,
+    "cfl_safety": 0.25,
+    "u_max_threshold": 500.0,
+    "dt_min": 1e-9,
+    "output_stride": 7,
+    "lp": (3.0, 1.5),
+    "scheme": "implicit",
+}
 
 
 class TestConfigParsing:
@@ -202,6 +220,32 @@ class TestConfigParsing:
     def test_lp_must_exceed_one(self):
         with pytest.raises(ConfigError):
             parse_config(GOOD_CONFIG.replace("lp = 2, 4", "lp = 0.5"))
+
+    def test_required_keys_alone_take_runconfig_defaults(self):
+        config = parse_config(REQUIRED_ONLY)
+        assert config == RunConfig(geometry=config.geometry, diffusion=config.diffusion,
+                                   boundary=config.boundary, initial=config.initial,
+                                   cells=config.cells, t_end=config.t_end)
+        assert parse_config(REQUIRED_ONLY + "\nlp =\n") == config
+
+    def test_every_run_key_has_a_round_trip_case(self):
+        assert set(RUN_KEY_VALUES) == set(_RUN_KEYS)
+
+    @pytest.mark.parametrize("key", list(RUN_KEY_VALUES))
+    def test_run_key_round_trips_through_text(self, key):
+        field, _ = _RUN_KEYS[key]
+        base = parse_config(REQUIRED_ONLY)
+        assert getattr(base, field) != RUN_KEY_VALUES[key]
+        config = replace(base, **{field: RUN_KEY_VALUES[key]})
+        text = config_to_text(config)
+        assert any(line.startswith(f"{key} = ") for line in text.splitlines())
+        assert parse_config(text) == config
+
+
+def test_every_config_key_is_named_in_the_readme():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Config files", 1)[1].split("```", 2)[1]
+    assert sorted(_CONFIG_KEYS - set(re.findall(r"[A-Za-z_][\w.]*", block))) == []
 
 
 class TestRunConfigValidation:
