@@ -53,16 +53,6 @@ class RadialGrid:
                     self.signal_offdiagonal):
             arr.flags.writeable = False
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RadialGrid)
-            and self.geometry == other.geometry
-            and self.n_cells == other.n_cells
-        )
-
-    def __repr__(self) -> str:
-        return f"RadialGrid(n={self.geometry.n}, R={self.geometry.R}, cells={self.n_cells})"
-
 
 @dataclass
 class RadialProfile:

@@ -376,9 +376,7 @@ def verify_suite(config: RunConfig) -> list[CheckResult]:
     # Short-trajectory invariants for the supplied config.
     short = _short_horizon(config)
     report = run_case(short)
-    by_name = {c.name: c for c in report.checks}
-    for name in ("mass_conservation", "signal_bounds", "boundary_flux_bound", "positivity"):
-        checks.append(by_name[name])
+    checks += report.checks
 
     # Zero data is a fixed point: u stays identically zero, v pinned at M.
     zero_cfg = replace(short, initial=ConstantData(0.0))
@@ -576,7 +574,7 @@ def _parse_variant(line: str, base: RunConfig, source: str) -> SweepVariant:
         if key in entries:
             raise ConfigError(f"{source}: duplicate key {key!r}")
         entries[key] = value
-    initial = parse_initial(entries, base.geometry, source)
+    initial = parse_initial(entries, source)
     return SweepVariant(data_id, _override(base, entries, source, initial=initial))
 
 

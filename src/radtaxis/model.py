@@ -6,7 +6,7 @@ threads and sweep workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Collection, Sequence, Union
 
@@ -96,13 +96,14 @@ class BoundaryDatum:
 
 @dataclass(frozen=True)
 class ConstantData:
-    """Spatially constant initial density u0 = value >= 0."""
+    """Spatially constant initial density of total mass `mass`; its level is
+    mass / |ball|."""
 
-    value: float
+    mass: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.value) and self.value >= 0):
-            raise ConfigError(f"constant initial value must be >= 0, got {self.value!r}")
+        if not (math.isfinite(self.mass) and self.mass >= 0):
+            raise ConfigError(f"constant initial mass must be >= 0, got {self.mass!r}")
 
 
 @dataclass(frozen=True)
@@ -111,15 +112,15 @@ class GaussianBump:
 
     mass: float
     width: float
-    center_radius: float = 0.0
+    center: float = 0.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.mass) and self.mass >= 0):
             raise ConfigError(f"bump mass must be >= 0, got {self.mass!r}")
         if not (math.isfinite(self.width) and self.width > 0):
             raise ConfigError(f"bump width must be > 0, got {self.width!r}")
-        if not (math.isfinite(self.center_radius) and self.center_radius >= 0):
-            raise ConfigError(f"bump center radius must be >= 0, got {self.center_radius!r}")
+        if not (math.isfinite(self.center) and self.center >= 0):
+            raise ConfigError(f"bump center must be >= 0, got {self.center!r}")
 
 
 @dataclass(frozen=True)
@@ -138,6 +139,14 @@ class AnnulusBump:
 
 
 InitialData = Union[ConstantData, GaussianBump, AnnulusBump]
+# initial.kind -> its class. A kind's other `initial.*` keys are exactly its
+# dataclass fields, in field order, and a config must set all of them.
+_KINDS = {"constant": ConstantData, "gaussian": GaussianBump, "annulus": AnnulusBump}
+
+
+def _initial_keys(kind: type) -> list[str]:
+    return [f"initial.{f.name}" for f in fields(kind)]
+
 
 # 3-point Gauss-Legendre rule on [-1, 1]; exact for cell averages of the
 # smooth closed forms to the accuracy the mass normalization then absorbs.
@@ -145,17 +154,13 @@ _GAUSS_NODES = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
 _GAUSS_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
 
-def _shape_values(data: InitialData, r: np.ndarray) -> np.ndarray:
-    if isinstance(data, ConstantData):
-        return np.full_like(r, data.value)
+def _shape_values(data: GaussianBump | AnnulusBump, r: np.ndarray) -> np.ndarray:
     if isinstance(data, GaussianBump):
         with np.errstate(over="ignore"):  # far tails underflow to 0, which is fine
-            return np.exp(-(((r - data.center_radius) / data.width) ** 2))
-    if isinstance(data, AnnulusBump):
-        inside = (r > data.r_lo) & (r < data.r_hi)
-        phase = np.where(inside, (r - data.r_lo) / (data.r_hi - data.r_lo), 0.0)
-        return np.where(inside, np.sin(math.pi * phase) ** 2, 0.0)
-    raise ConfigError(f"unknown initial data kind {type(data).__name__}")
+            return np.exp(-(((r - data.center) / data.width) ** 2))
+    inside = (r > data.r_lo) & (r < data.r_hi)
+    phase = np.where(inside, (r - data.r_lo) / (data.r_hi - data.r_lo), 0.0)
+    return np.where(inside, np.sin(math.pi * phase) ** 2, 0.0)
 
 
 def sample_initial(data: InitialData, grid: "RadialGrid") -> "RadialProfile":
@@ -170,8 +175,7 @@ def sample_initial(data: InitialData, grid: "RadialGrid") -> "RadialProfile":
 
     if isinstance(data, ConstantData):
         # Cell average of a constant is the constant; no quadrature error in any n.
-        values = np.full(grid.n_cells, data.value)
-        return RadialProfile(grid, values)
+        return RadialProfile(grid, np.full(grid.n_cells, data.mass / grid.geometry.domain_volume))
 
     half = 0.5 * grid.dr
     mid = grid.center_radii
@@ -237,18 +241,18 @@ class RunConfig:
             if not (math.isfinite(p) and p > 1.0):
                 raise ConfigError(f"lp exponents must be finite and > 1, got {p!r}")
         R = self.geometry.R
-        if isinstance(self.initial, GaussianBump) and not self.initial.center_radius < R:
-            raise ConfigError(f"bump center radius {self.initial.center_radius} must be < R = {R}")
+        if isinstance(self.initial, GaussianBump) and not self.initial.center < R:
+            raise ConfigError(f"bump center {self.initial.center} must be < R = {R}")
         if isinstance(self.initial, AnnulusBump) and not self.initial.r_hi <= R:
             raise ConfigError(f"annulus outer radius {self.initial.r_hi} must be <= R = {R}")
+        # Data that samples to zero mass on this grid fails here, before a
+        # run or a sweep writes anything.
+        from .grid import RadialGrid
+
+        sample_initial(self.initial, RadialGrid(self.geometry, self.cells))
 
 
 _REQUIRED_KEYS = ("n", "R", "alpha", "kappa", "M", "initial.kind", "cells", "t_end")
-_KIND_KEYS = {
-    "constant": frozenset(["initial.mass"]),
-    "gaussian": frozenset(["initial.mass", "initial.width", "initial.center"]),
-    "annulus": frozenset(["initial.mass", "initial.r_lo", "initial.r_hi"]),
-}
 
 
 def parse_flat_keys(text: str, source: str, allowed: Collection[str], required: Sequence[str],
@@ -324,7 +328,7 @@ _RUN_KEYS = {
 }
 # Flat config-file vocabulary; anything else is a hard error.
 _CONFIG_KEYS = frozenset(["n", "R", "alpha", "kappa", "M", "initial.kind",
-                          *frozenset().union(*_KIND_KEYS.values()), *_RUN_KEYS])
+                          *(key for kind in _KINDS.values() for key in _initial_keys(kind)), *_RUN_KEYS])
 
 
 def parse_run_keys(entries: dict[str, str], source: str,
@@ -335,42 +339,35 @@ def parse_run_keys(entries: dict[str, str], source: str,
             for key in keys if key in entries}
 
 
-def parse_initial(entries: dict[str, str], geometry: Geometry, source: str) -> InitialData:
+def parse_initial(entries: dict[str, str], source: str) -> InitialData:
     """Build initial data from the `initial.*` entries of a config or plan variant.
 
-    Other keys in `entries` are ignored. Every `initial.*` key must belong
-    to initial.kind. For kind=constant the mass is the total mass; the
-    constant level is mass / |Omega|.
+    Other keys in `entries` are ignored. The `initial.*` keys besides
+    initial.kind must be exactly the fields of the kind's class.
     """
     kind = entries["initial.kind"].lower()
-    if kind not in _KIND_KEYS:
-        raise ConfigError(f"{source}: initial.kind must be constant, gaussian, or annulus, got {kind!r}")
-    needed = _KIND_KEYS[kind]
+    if kind not in _KINDS:
+        raise ConfigError(f"{source}: initial.kind must be one of {', '.join(_KINDS)}, got {kind!r}")
+    keys = _initial_keys(_KINDS[kind])
     present = {k for k in entries if k.startswith("initial.") and k != "initial.kind"}
-    for k in sorted(needed - present):
+    for k in sorted(set(keys) - present):
         raise ConfigError(f"{source}: initial.kind={kind} requires key {k!r}")
-    for k in sorted(present - needed):
+    for k in sorted(present - set(keys)):
         raise ConfigError(f"{source}: key {k!r} does not apply to initial.kind={kind}")
-    p = {k.removeprefix("initial."): _parse_float(entries, k, source) for k in needed}
-    if kind == "constant":
-        return ConstantData(value=p["mass"] / geometry.domain_volume)
-    if kind == "gaussian":
-        return GaussianBump(mass=p["mass"], width=p["width"], center_radius=p["center"])
-    return AnnulusBump(mass=p["mass"], r_lo=p["r_lo"], r_hi=p["r_hi"])
+    return _KINDS[kind](*(_parse_float(entries, k, source) for k in keys))
 
 
 def parse_config(text: str, source: str = "<config>") -> RunConfig:
     """Parse the flat key=value run-config format."""
     entries = parse_flat_keys(text, source, _CONFIG_KEYS, _REQUIRED_KEYS)
-    geometry = Geometry(n=_parse_int(entries, "n", source), R=_parse_float(entries, "R", source))
     return RunConfig(
-        geometry=geometry,
+        geometry=Geometry(n=_parse_int(entries, "n", source), R=_parse_float(entries, "R", source)),
         diffusion=DiffusionLaw(
             alpha=_parse_float(entries, "alpha", source),
             kappa=_parse_float(entries, "kappa", source),
         ),
         boundary=BoundaryDatum(M=_parse_float(entries, "M", source)),
-        initial=parse_initial(entries, geometry, source),
+        initial=parse_initial(entries, source),
         **parse_run_keys(entries, source),
     )
 
@@ -393,19 +390,8 @@ def config_to_text(config: RunConfig) -> str:
         f"M = {config.boundary.M!r}",
     ]
     initial = config.initial
-    if isinstance(initial, ConstantData):
-        lines.append("initial.kind = constant")
-        lines.append(f"initial.mass = {initial.value * config.geometry.domain_volume!r}")
-    elif isinstance(initial, GaussianBump):
-        lines.append("initial.kind = gaussian")
-        lines.append(f"initial.mass = {initial.mass!r}")
-        lines.append(f"initial.width = {initial.width!r}")
-        lines.append(f"initial.center = {initial.center_radius!r}")
-    else:
-        lines.append("initial.kind = annulus")
-        lines.append(f"initial.mass = {initial.mass!r}")
-        lines.append(f"initial.r_lo = {initial.r_lo!r}")
-        lines.append(f"initial.r_hi = {initial.r_hi!r}")
+    lines.append("initial.kind = " + next(k for k, kind in _KINDS.items() if type(initial) is kind))
+    lines += [f"{key} = {value!r}" for key, value in zip(_initial_keys(type(initial)), astuple(initial))]
     lines.append(f"cells = {config.cells}")
     lines.append(f"t_end = {config.t_end!r}")
     lines.append(f"cfl_safety = {config.cfl_safety!r}")

@@ -222,12 +222,10 @@ def _implicit_solve(volumes: np.ndarray, values: np.ndarray, dt: float, left: np
     return u_new, info
 
 
-def implicit_step(state: SimState, config: RunConfig, dt: float,
-                  rates: tuple[np.ndarray, np.ndarray] | None = None) -> StepOutcome:
+def implicit_step(state: SimState, config: RunConfig, dt: float) -> StepOutcome:
     """One linearly implicit step at the supplied dt.
 
-    `rates` is `_transfer_rates(...)` of this state, evaluated here when not
-    given. Solves (V/dt + A) u_new = V u / dt with LAPACK dgtsv. The matrix
+    Solves (V/dt + A) u_new = V u / dt with LAPACK dgtsv. The matrix
     is column diagonally dominant, so dgtsv never swaps rows and every
     operation of the solve combines nonnegative numbers: u_new >= 0 at any
     dt. An attempt whose relative sup-norm change exceeds IMPLICIT_TOL is
@@ -238,8 +236,7 @@ def implicit_step(state: SimState, config: RunConfig, dt: float,
         return underflow
 
     values = state.u.values
-    if rates is None:
-        rates = _transfer_rates(state.u, state.elliptic.vr_faces, config.diffusion)
+    rates = _transfer_rates(state.u, state.elliptic.vr_faces, config.diffusion)
     u_new, info = _implicit_solve(state.u.grid.volumes, values, dt, *rates)
     if info != 0:
         return StepOutcome(StepStatus.NUMERICAL_FAILURE, measurement=float(info),
@@ -342,7 +339,8 @@ def resolve_limits(config: RunConfig, state: SimState, first_dt: float) -> RunCo
 
 
 def _explicit_march(state: SimState, config: RunConfig) -> Iterator[StepOutcome]:
-    """Explicit steps at cfl_safety times each state's positivity bound."""
+    """Explicit steps at cfl_safety times each state's positivity bound;
+    `advance` stops at the first outcome that is not ADVANCED."""
     resolved = None
     while state.t < config.t_end:
         flux, bound = face_flux(state.u, state.elliptic.vr_faces, config.diffusion)
@@ -351,8 +349,6 @@ def _explicit_march(state: SimState, config: RunConfig) -> Iterator[StepOutcome]
             resolved = resolve_limits(config, state, dt)
         outcome = step(state, resolved, dt, flux)
         yield outcome
-        if outcome.status is not StepStatus.ADVANCED:
-            return
         state = outcome.state
 
 
@@ -371,24 +367,19 @@ def _implicit_march(state: SimState, config: RunConfig) -> Iterator[StepOutcome]
     dt = cfl_dt(state.u, state.elliptic.vr_faces, config.diffusion, config.cfl_safety)
     resolved = resolve_limits(config, state, dt)
     dt_max = config.t_end / IMPLICIT_MIN_STEPS
-    rates = None
     while state.t < config.t_end:
-        if rates is None:
-            rates = _transfer_rates(state.u, state.elliptic.vr_faces, config.diffusion)
         remaining = config.t_end - state.t
         dt = min(dt, dt_max)
         if dt >= remaining:
             dt = remaining
         elif 2.0 * dt > remaining:
             dt = 0.5 * remaining
-        outcome = implicit_step(state, resolved, dt, rates)
+        outcome = implicit_step(state, resolved, dt)
         if outcome.status is StepStatus.REJECTED:
             dt *= 0.5
             continue
         yield outcome
-        if outcome.status is not StepStatus.ADVANCED:
-            return
-        state, rates = outcome.state, None
+        state = outcome.state
         change = outcome.measurement
         dt *= min(2.0, 0.9 * IMPLICIT_TOL / change) if change > 0.0 else 2.0
 

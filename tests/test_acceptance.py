@@ -157,7 +157,7 @@ def test_criterion_8_determinism_and_separation(tmp_path):
         geometry=Geometry(2, 1.0),
         diffusion=DiffusionLaw(alpha=0.5, kappa=1.0),
         boundary=BoundaryDatum(1.0),
-        initial=GaussianBump(mass=2.0, width=0.25, center_radius=0.0),
+        initial=GaussianBump(mass=2.0, width=0.25, center=0.0),
         cells=128,
         t_end=5e-3,
         cfl_safety=0.6,
@@ -214,14 +214,14 @@ def test_criterion_11_sweep_worker_determinism(tmp_path):
     from radtaxis.lab import SweepPlan, SweepVariant
 
     quick_base = replace(base, cells=64, t_end=2e-3, output_stride=20)
-    bump = GaussianBump(mass=2.0, width=0.25, center_radius=0.0)
+    bump = GaussianBump(mass=2.0, width=0.25, center=0.0)
     tables = []
     for workers in (1, 2, 8):
         plan = SweepPlan(
             alphas=(0.25, 0.75),
             variants=(
                 SweepVariant("bump", replace(quick_base, initial=bump)),
-                SweepVariant("flat", replace(quick_base, initial=ConstantData(0.5))),
+                SweepVariant("flat", replace(quick_base, initial=ConstantData(mass=0.5 * math.pi))),
             ),
             workers=workers,
         )

@@ -75,6 +75,16 @@ class TestSimulate:
         assert "scheme" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_data_that_samples_to_zero_mass_exits_2(self, tmp_path, capsys):
+        # no Gauss node of the 32-cell grid falls inside the annulus
+        cfg = tmp_path / "thin.cfg"
+        cfg.write_text(GOOD.replace("initial.kind = gaussian", "initial.kind = annulus")
+                       .replace("initial.width = 0.25", "initial.r_lo = 0.5")
+                       .replace("initial.center = 0.0", "initial.r_hi = 0.50001"))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "zero sampled mass" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_file_exits_3(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")]) == 3

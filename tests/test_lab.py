@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radtaxis import lab
+from radtaxis import lab, stepper
 from radtaxis.elliptic import solve_v
-from radtaxis.errors import ConfigError
+from radtaxis.errors import ConfigError, SingularSystemError
 from radtaxis.grid import RadialProfile, format_float
 from radtaxis.lab import (
     BLOWUP_SUSPECTED,
@@ -45,7 +45,7 @@ def make_config(**overrides):
         geometry=Geometry(2, 1.0),
         diffusion=DiffusionLaw(alpha=0.5, kappa=1.0),
         boundary=BoundaryDatum(1.0),
-        initial=GaussianBump(mass=2.0, width=0.25, center_radius=0.0),
+        initial=GaussianBump(mass=2.0, width=0.25, center=0.0),
         cells=64,
         t_end=2e-3,
         cfl_safety=0.6,
@@ -69,6 +69,24 @@ class TestRunCase:
         assert report.verdict.kind == BLOWUP_SUSPECTED
         assert report.verdict.detail == "threshold_exceeded"
         assert report.peak_linf > 8.0
+
+    def test_failed_signal_solve_mid_run_is_numerical_failure(self, monkeypatch):
+        calls = []
+
+        def failing_third(u, boundary):
+            # the t = 0 solve and the first step's pass, the second step's fails
+            calls.append(None)
+            if len(calls) == 3:
+                raise SingularSystemError("injected")
+            return solve_v(u, boundary)
+
+        monkeypatch.setattr(stepper, "solve_v", failing_third)
+        report = run_case(make_config())
+        assert report.terminal_status is StepStatus.NUMERICAL_FAILURE
+        assert report.verdict.kind == TOLERANCE_FAILURE
+        assert report.verdict.detail == "numerical_failure: signal solve failed: injected"
+        assert report.steps == 1
+        assert report.verdict.t_star == report.final_state.t > 0.0
 
     def test_records_certify_checks(self):
         report = run_case(make_config())
@@ -115,7 +133,7 @@ class TestRunCase:
 
     def test_check_failing_after_threshold_stop_preempts_blowup(self, monkeypatch):
         config = make_config(diffusion=DiffusionLaw(alpha=2.0, kappa=1.0),
-                             initial=GaussianBump(mass=30.0, width=1.6, center_radius=0.0),
+                             initial=GaussianBump(mass=30.0, width=1.6, center=0.0),
                              u_max_threshold=16.0, t_end=1.0)
         stop = run_case(config)
         assert stop.verdict.kind == BLOWUP_SUSPECTED
@@ -248,8 +266,8 @@ def small_plan(**overrides):
     fields = dict(
         alphas=(0.5, 0.0),
         variants=(
-            small_variant("bump", GaussianBump(mass=2.0, width=0.25, center_radius=0.0)),
-            small_variant("flat", ConstantData(0.5)),
+            small_variant("bump", GaussianBump(mass=2.0, width=0.25, center=0.0)),
+            small_variant("flat", ConstantData(mass=0.5 * math.pi)),  # level 0.5
         ),
         workers=1,
     )
@@ -312,19 +330,32 @@ class TestSweep:
         assert untimed(small_plan(workers=8, **one_case)) == untimed(small_plan(**one_case))
         assert pool_sizes == [4]
 
-    def test_crashing_case_becomes_tolerance_failure_row(self):
-        # width 1e-300 underflows to a zero profile, so sampling raises inside
-        # the worker; the sweep must keep going
-        bad = small_variant("doomed", GaussianBump(mass=1.0, width=1e-300))
-        plan = small_plan(variants=(bad, small_plan().variants[1]), workers=2)
-        rows = run_sweep(plan)
-        assert len(rows) == 4
-        doomed = [r for r in rows if r.data_id == "doomed"]
-        assert all(r.verdict == TOLERANCE_FAILURE for r in doomed)
-        # the row carries the exception that killed the case
-        assert all(r.detail.startswith("ConfigError") for r in doomed)
-        others = [r for r in rows if r.data_id == "flat"]
-        assert all(r.verdict != TOLERANCE_FAILURE for r in others)
+    def test_crashing_case_becomes_tolerance_failure_row(self, monkeypatch):
+        bad = small_variant("doomed", GaussianBump(mass=1.0, width=0.125))
+
+        def run_case_or_crash(config):
+            if config.initial == bad.config.initial:
+                raise ConfigError("doomed case")
+            return run_case(config)
+
+        # Forked workers inherit the patch. Two workers run the cases in a
+        # pool, one runs them in-process; the sweep must keep going in both.
+        monkeypatch.setattr(lab, "run_case", run_case_or_crash)
+        for workers in (2, 1):
+            plan = small_plan(variants=(bad, small_plan().variants[1]), workers=workers)
+            rows = run_sweep(plan)
+            assert len(rows) == 4
+            doomed = [r for r in rows if r.data_id == "doomed"]
+            assert all(r.verdict == TOLERANCE_FAILURE for r in doomed)
+            # the row carries the exception that killed the case
+            assert all(r.detail.startswith("ConfigError") for r in doomed)
+            others = [r for r in rows if r.data_id == "flat"]
+            assert all(r.verdict != TOLERANCE_FAILURE for r in others)
+
+    def test_plan_needs_a_variant(self):
+        # a plan file without a variant line already fails as a missing key
+        with pytest.raises(ConfigError, match="at least one data variant"):
+            small_plan(variants=())
 
     def test_case_config_overrides(self):
         # each case is its variant's config at the case's alpha, nothing else
@@ -361,8 +392,7 @@ class TestPlanParsing:
         ring = plan.variants[ids.index("ring")]
         assert ring.config.u_max_threshold == 50.0
         level = plan.variants[ids.index("level")].config
-        assert isinstance(level.initial, ConstantData)
-        assert level.initial.value == pytest.approx(3.0 / math.pi)
+        assert level.initial == ConstantData(mass=3.0)
         assert len(plan.cases) == 6
 
     def test_unknown_plan_key(self, tmp_path):
@@ -456,6 +486,7 @@ class TestPlanParsing:
         ("0.5", "far gaussian mass=1 width=0.2 center=1.0"),  # bump centre at R
         ("0.5, nan", "bump gaussian mass=1 width=0.2 center=0.0"),
         ("0.5", "bump gaussian mass=1 width=0.2 center=0.0 scheme=semi"),
+        ("0.5", "thin annulus mass=2 r_lo=0.5 r_hi=0.50001"),  # samples to zero mass
     ])
     def test_invalid_case_config_exits_2_before_out_exists(self, tmp_path, alphas, variant, capsys):
         from radtaxis.cli import main
@@ -465,6 +496,23 @@ class TestPlanParsing:
         (tmp_path / "p.plan").write_text(f"base = base.cfg\nalphas = {alphas}\nvariant = {variant}\n")
         assert main(["sweep", "--plan", str(tmp_path / "p.plan"), "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("lines,message", [
+        ("alphas =\nvariant = a constant mass=1", "at least one alpha"),
+        ("alphas = 1", "missing required key 'variant'"),
+        ("alphas = 1\nvariant = a constant mass=1\nvariant = a constant mass=2", "ids must be unique"),
+        ("alphas = 1\nvariant = a constant mass", "'mass' is not key=value"),
+        ("alphas = 1\nvariant = a constant mass=1 mass=2", "duplicate key 'initial.mass'"),
+    ], ids=["no_alphas", "no_variant", "duplicate_id", "not_key_value", "duplicate_key"])
+    def test_malformed_plan_exits_2_before_out_exists(self, tmp_path, lines, message, capsys):
+        from radtaxis.cli import main
+        from radtaxis.model import config_to_text
+
+        (tmp_path / "base.cfg").write_text(config_to_text(make_config()))
+        (tmp_path / "p.plan").write_text(f"base = base.cfg\n{lines}\n")
+        assert main(["sweep", "--plan", str(tmp_path / "p.plan"), "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("data_id", ["a,b", 'a"b'])

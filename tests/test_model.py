@@ -19,6 +19,7 @@ from radtaxis.model import (
     Geometry,
     RunConfig,
     _CONFIG_KEYS,
+    _KINDS,
     _RUN_KEYS,
     config_to_text,
     parse_config,
@@ -79,11 +80,11 @@ class TestSampling:
 
     @pytest.mark.parametrize("n,R", [(1, 1.0), (2, 1.5), (3, 2.0), (7, 0.8)])
     def test_constant_mass_is_volume_formula(self, n, R):
-        c = 2.5
+        mass = 2.5
         grid = RadialGrid(Geometry(n=n, R=R), 64)
-        profile = sample_initial(ConstantData(c), grid)
-        expected = c * unit_ball_volume(n) * R ** n
-        assert integrate(profile) == pytest.approx(expected, rel=1e-12)
+        profile = sample_initial(ConstantData(mass), grid)
+        assert np.all(profile.values == mass / (unit_ball_volume(n) * R ** n))
+        assert integrate(profile) == pytest.approx(mass, rel=1e-12)
 
     @pytest.mark.parametrize("cells", [32, 64, 128, 256])
     def test_gaussian_mass_exact_under_refinement(self, cells):
@@ -140,6 +141,14 @@ RUN_KEY_VALUES = {
     "lp": (3.0, 1.5),
     "scheme": "implicit",
 }
+# The initial-data lines of one config of each kind, in config_to_text's order.
+KIND_LINES = {
+    "constant": ["initial.kind = constant", "initial.mass = 0.1"],
+    "gaussian": ["initial.kind = gaussian", "initial.mass = 2.0", "initial.width = 0.25",
+                 "initial.center = 0.3"],
+    "annulus": ["initial.kind = annulus", "initial.mass = 4.0", "initial.r_lo = 0.3",
+                "initial.r_hi = 0.7"],
+}
 
 
 class TestConfigParsing:
@@ -148,7 +157,7 @@ class TestConfigParsing:
         assert config.geometry == Geometry(2, 1.0)
         assert config.diffusion == DiffusionLaw(0.5, 1.0)
         assert config.boundary == BoundaryDatum(1.0)
-        assert config.initial == GaussianBump(mass=2.0, width=0.25, center_radius=0.0)
+        assert config.initial == GaussianBump(mass=2.0, width=0.25, center=0.0)
         assert config.cells == 64
         assert config.lp_exponents == (2.0, 4.0)
         assert config.u_max_threshold is None
@@ -169,9 +178,10 @@ class TestConfigParsing:
             if not (l.startswith("initial.width") or l.startswith("initial.center"))
         )
         config = parse_config(text)
-        assert isinstance(config.initial, ConstantData)
+        assert config.initial == ConstantData(mass=2.0)
         # mass 2 over the unit disk: level = 2/pi
-        assert config.initial.value == pytest.approx(2.0 / math.pi)
+        level = sample_initial(config.initial, RadialGrid(config.geometry, config.cells)).values
+        assert np.all(level == pytest.approx(2.0 / math.pi))
 
     def test_irrelevant_initial_key_rejected(self):
         text = GOOD_CONFIG + "\ninitial.r_lo = 0.1\n"
@@ -228,6 +238,18 @@ class TestConfigParsing:
                                    cells=config.cells, t_end=config.t_end)
         assert parse_config(REQUIRED_ONLY + "\nlp =\n") == config
 
+    def test_every_kind_has_a_round_trip_case(self):
+        assert set(KIND_LINES) == set(_KINDS)
+
+    @pytest.mark.parametrize("kind", list(KIND_LINES))
+    def test_initial_kind_round_trips_through_text(self, kind):
+        # the constant kind's mass is echoed as given, not through its level
+        lines = [line for line in REQUIRED_ONLY.splitlines() if not line.startswith("initial.")]
+        config = parse_config("\n".join(lines + KIND_LINES[kind]))
+        text = config_to_text(config)
+        assert [line for line in text.splitlines() if line.startswith("initial.")] == KIND_LINES[kind]
+        assert parse_config(text) == config
+
     def test_every_run_key_has_a_round_trip_case(self):
         assert set(RUN_KEY_VALUES) == set(_RUN_KEYS)
 
@@ -254,7 +276,7 @@ class TestRunConfigValidation:
             geometry=Geometry(2, 1.0),
             diffusion=DiffusionLaw(0.5, 1.0),
             boundary=BoundaryDatum(1.0),
-            initial=ConstantData(1.0),
+            initial=ConstantData(mass=math.pi),  # level 1 on the unit disk
             cells=32,
             t_end=1.0,
         )
@@ -273,3 +295,10 @@ class TestRunConfigValidation:
     def test_annulus_must_fit(self):
         with pytest.raises(ConfigError):
             self.base(initial=AnnulusBump(mass=1.0, r_lo=0.5, r_hi=1.5))
+
+    def test_data_must_have_mass_on_the_grid(self):
+        # no Gauss node of the 32-cell grid falls inside the annulus
+        thin = AnnulusBump(mass=1.0, r_lo=0.5, r_hi=0.50001)
+        with pytest.raises(ConfigError, match="zero sampled mass"):
+            self.base(initial=thin)
+        assert self.base(initial=replace(thin, mass=0.0)).initial.mass == 0.0

@@ -43,7 +43,7 @@ def make_config(**overrides):
         geometry=Geometry(2, 1.0),
         diffusion=DiffusionLaw(alpha=0.5, kappa=1.0),
         boundary=BoundaryDatum(1.0),
-        initial=GaussianBump(mass=2.0, width=0.25, center_radius=0.0),
+        initial=GaussianBump(mass=2.0, width=0.25, center=0.0),
         cells=64,
         t_end=1e-3,
         cfl_safety=0.6,
@@ -533,11 +533,11 @@ class TestImplicitStep:
         calls = []
         original = stepper.implicit_step
 
-        def rejecting_third(state, config, dt, rates=None):
+        def rejecting_third(state, config, dt):
             calls.append((state, dt))
             if len(calls) == 3:
                 return StepOutcome(StepStatus.REJECTED, measurement=1.0)
-            return original(state, config, dt, rates)
+            return original(state, config, dt)
 
         monkeypatch.setattr(stepper, "implicit_step", rejecting_third)
         config = make_config(scheme="implicit", t_end=1e-2)
