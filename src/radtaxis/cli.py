@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError, RadtaxisError
@@ -81,9 +80,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    plan = parse_plan(args.plan)
-    if args.workers is not None:
-        plan = replace(plan, workers=args.workers)
+    plan = parse_plan(args.plan, workers=args.workers)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = run_sweep(plan)

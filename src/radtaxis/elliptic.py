@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dptsv
 
+from ._lapack import dptsv
 from .errors import DomainError, NumericalError, SingularSystemError
 from .model import BoundaryDatum, Geometry, unit_ball_volume
 from .grid import RadialProfile

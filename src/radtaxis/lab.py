@@ -529,24 +529,27 @@ _OVERRIDE_KEYS = ("t_end", "u_max_threshold", "output_stride", "scheme")
 _PLAN_KEYS = frozenset(["base", "alphas", "workers", "variant", *_OVERRIDE_KEYS])
 
 
-def parse_plan(path: str | Path) -> SweepPlan:
+def parse_plan(path: str | Path, workers: int | None = None) -> SweepPlan:
     """Parse a sweep plan file.
 
     The config syntax (base, alphas, workers, and the override keys t_end,
     u_max_threshold, output_stride, scheme) plus one
     `variant = <id> <kind> key=value...` line per data variant; the base
     path is resolved relative to the plan file. A variant's override keys
-    win over the plan's, which win over the base config's.
+    win over the plan's, which win over the base config's. `workers`, when
+    given, wins over the plan's worker count; passing it here builds the
+    cases once.
     """
     path = Path(path)
     source = str(path)
     entries = parse_flat_keys(path.read_text(encoding="utf-8"), source, _PLAN_KEYS,
                               ("base", "alphas", "variant"), repeatable={"variant"})
     base = _override(load_config((path.parent / entries["base"]).resolve()), entries, source)
+    planned = _parse_int(entries, "workers", source) if "workers" in entries else 1
     return SweepPlan(
         alphas=_parse_floats(entries, "alphas", source),
         variants=tuple(_parse_variant(line, base, source) for line in entries["variant"]),
-        workers=_parse_int(entries, "workers", source) if "workers" in entries else 1,
+        workers=planned if workers is None else workers,
     )
 
 

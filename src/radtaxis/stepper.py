@@ -31,8 +31,8 @@ from enum import Enum
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
+from ._lapack import dgtsv
 from .elliptic import EllipticSolution, solve_v
 from .errors import RadtaxisError
 from .grid import RadialGrid, RadialProfile, boundary_trace, integrate, lp_norm

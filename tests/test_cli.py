@@ -142,6 +142,34 @@ class TestSweepCommand:
             assert (out / "sweep_timings.csv").exists()
         assert outputs[0] == outputs[1]
 
+    def test_workers_flag_does_not_rebuild_the_cases(self, tmp_path, config_path, monkeypatch):
+        # Building a RunConfig samples its initial data once, so the count of
+        # samplings counts case builds. One worker keeps every run in-process.
+        from radtaxis import model
+
+        calls = []
+        sample = model.sample_initial
+
+        def counting(*args):
+            calls.append(args)
+            return sample(*args)
+
+        monkeypatch.setattr(model, "sample_initial", counting)
+        plan = tmp_path / "sweep.plan"
+        plan.write_text(
+            f"base = {config_path.name}\n"
+            "alphas = 0.0, 0.5\n"
+            "variant = bump gaussian mass=2 width=0.25 center=0.0\n"
+        )
+        counts = []
+        for flags in ([], ["--workers", "1"]):
+            calls.clear()
+            argv = ["sweep", "--plan", str(plan), "--out", str(tmp_path / f"out{len(flags)}")]
+            assert main(argv + flags) == 0
+            counts.append(len(calls))
+        assert counts[0] > 0
+        assert counts[0] == counts[1]
+
 
 class TestPlot:
     def run_simulation(self, tmp_path, config_path):
