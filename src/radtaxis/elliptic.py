@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import dptsv
-from .errors import DomainError, NumericalError, SingularSystemError
+from .errors import RadtaxisError
 from .model import BoundaryDatum, Geometry, unit_ball_volume
 from .grid import RadialProfile
 
@@ -47,9 +47,9 @@ def solve_v(u: RadialProfile, boundary: BoundaryDatum) -> EllipticSolution:
     The face gradients returned are exactly the differences the transport
     stepper consumes, so both modules share one discrete gradient.
 
-    A non-finite density always fails the solve (NaN or +inf make the
-    residual NaN, -inf makes dptsv fail), so it is screened for only there
-    and raises NumericalError instead of SingularSystemError.
+    A negative density can make the matrix indefinite, and a non-finite one
+    always fails the solve (NaN or +inf make the residual NaN, -inf makes
+    dptsv fail); both raise RadtaxisError.
     """
     grid = u.grid
     n_cells = grid.n_cells
@@ -64,8 +64,7 @@ def solve_v(u: RadialProfile, boundary: BoundaryDatum) -> EllipticSolution:
     b = M * vu
     _, _, w, info = dptsv(d, e, b)
     if info != 0:
-        _screen_non_finite(u)
-        raise SingularSystemError(f"signal matrix is not positive definite (dptsv info {info})")
+        raise RadtaxisError(f"signal matrix is not positive definite (dptsv info {info})")
 
     # Rows scaled by their diagonal make the residual tolerance resolution-free.
     residual = d * w - b
@@ -73,8 +72,7 @@ def solve_v(u: RadialProfile, boundary: BoundaryDatum) -> EllipticSolution:
     residual[1:] += e * w[:-1]
     worst = float(np.abs(residual / d).max())
     if not worst <= _RESIDUAL_TOL * M:
-        _screen_non_finite(u)
-        raise SingularSystemError(
+        raise RadtaxisError(
             f"signal solve residual {worst:.3e} exceeds {_RESIDUAL_TOL * M:.3e}"
         )
 
@@ -84,11 +82,6 @@ def solve_v(u: RadialProfile, boundary: BoundaryDatum) -> EllipticSolution:
     vr[1:-1] = (v[1:] - v[:-1]) / dr
     vr[-1] = 2.0 * w[-1] / dr
     return EllipticSolution(v=v, vr_faces=vr, residual=worst)
-
-
-def _screen_non_finite(u: RadialProfile) -> None:
-    if not np.isfinite(u.values).all():
-        raise NumericalError("non-finite density passed to the signal solve")
 
 
 def vr_from_integral(u: RadialProfile, v: np.ndarray) -> np.ndarray:
@@ -120,7 +113,5 @@ def boundary_flux_bound(u0_mass: float, geometry: Geometry) -> float:
     checked against along trajectories (valid as stated for M <= 1; the
     general bound carries an extra factor M).
     """
-    if not u0_mass >= 0.0:
-        raise DomainError(f"mass must be >= 0, got {u0_mass!r}")
     n = geometry.n
     return geometry.R ** (1 - n) * u0_mass / (n * unit_ball_volume(n))

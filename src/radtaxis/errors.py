@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types: the CLI exits 2 on a ConfigError and 1 on any other RadtaxisError."""
 
 
 class RadtaxisError(Exception):
@@ -7,22 +7,3 @@ class RadtaxisError(Exception):
 
 class ConfigError(RadtaxisError):
     """Invalid configuration: unknown key, missing key, or bad value."""
-
-
-class DomainError(RadtaxisError, ValueError):
-    """Mathematical-domain violation (negative density, p < 1, ...)."""
-
-
-class GridMismatchError(RadtaxisError):
-    """Profiles living on different grids were combined."""
-
-
-class NumericalError(RadtaxisError):
-    """Non-finite data reached a numerical kernel."""
-
-
-class SingularSystemError(RadtaxisError):
-    """Signal matrix not positive definite, or solve residual above tolerance.
-
-    Cannot happen for nonnegative absorption, so it signals corrupted input.
-    """

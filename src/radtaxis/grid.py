@@ -14,20 +14,18 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, GridMismatchError
+from .errors import RadtaxisError
 from .model import Geometry
 
 
 class RadialGrid:
-    """Uniform cell-centered mesh: faces at i*dr, centers at (i - 1/2)*dr."""
+    """Uniform cell-centered mesh, n_cells >= 2: faces at i*dr, centers at (i - 1/2)*dr."""
 
     __slots__ = ("geometry", "n_cells", "dr", "face_radii", "center_radii", "volumes", "face_areas",
                  "conductances", "inner_face_areas", "inner_conductances", "signal_diagonal",
                  "signal_offdiagonal")
 
     def __init__(self, geometry: Geometry, n_cells: int):
-        if n_cells < 2:
-            raise DomainError(f"grid needs at least 2 cells, got {n_cells}")
         self.geometry = geometry
         self.n_cells = int(n_cells)
         n, R = geometry.n, geometry.R
@@ -64,7 +62,7 @@ class RadialProfile:
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.grid.n_cells,):
-            raise GridMismatchError(
+            raise RadtaxisError(
                 f"profile has {self.values.shape} values for a {self.grid.n_cells}-cell grid"
             )
 
@@ -75,11 +73,9 @@ def integrate(profile: RadialProfile) -> float:
 
 
 def lp_norm(profile: RadialProfile, p: float) -> float:
-    """L^p norm by FV quadrature; p = math.inf returns max |f_i|."""
+    """L^p norm by FV quadrature for p >= 1; p = math.inf returns max |f_i|."""
     if p == math.inf:
         return float(np.max(np.abs(profile.values)))
-    if not p >= 1.0:
-        raise DomainError(f"lp_norm needs p >= 1 or p = inf, got {p!r}")
     return float(np.dot(profile.grid.volumes, np.abs(profile.values) ** p)) ** (1.0 / p)
 
 

@@ -435,6 +435,8 @@ class SweepPlan:
         if not self.alphas:
             raise ConfigError("sweep plan needs at least one alpha")
         object.__setattr__(self, "alphas", tuple(sorted(float(a) for a in self.alphas)))
+        if len(set(self.alphas)) != len(self.alphas):
+            raise ConfigError(f"sweep alphas must be distinct, got {self.alphas!r}")
         if not self.variants:
             raise ConfigError("sweep plan needs at least one data variant")
         ids = [v.data_id for v in self.variants]
@@ -587,7 +589,8 @@ def _parse_variant(line: str, base: RunConfig, source: str) -> SweepVariant:
 
 def write_trace_csv(records: Sequence[TraceRecord], lp_exponents: Sequence[float],
                     path: str | Path) -> None:
-    header = ["t", "dt", "mass", "linf", *(f"lp_{p:g}" for p in lp_exponents),
+    # Exponent p heads column lp_<repr(p) without a trailing .0>: distinct p, distinct names.
+    header = ["t", "dt", "mass", "linf", *(f"lp_{p!r}".removesuffix(".0") for p in lp_exponents),
               "u_boundary", "dv_dnu", "u_min"]
     fields = ((rec.t, rec.dt, rec.mass, rec.linf, *rec.lp, rec.u_boundary, rec.boundary_flux, rec.u_min)
               for rec in records)

@@ -75,10 +75,9 @@ class DiffusionLaw:
             raise ConfigError(f"diffusion scale kappa must be finite and > 0, got {self.kappa!r}")
 
     def eval(self, xi):
-        """D(xi) for scalar or array xi; strictly positive.
+        """D(xi) for scalar or array xi >= 0; strictly positive.
 
-        Callers keep xi >= 0 (the stepper clamps face densities first); a
-        negative xi is not checked.
+        A negative xi is not checked: the stepper's states are nonnegative.
         """
         return self.kappa * (xi + 1.0) ** (-self.alpha)
 
@@ -156,8 +155,8 @@ _GAUSS_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
 def _shape_values(data: GaussianBump | AnnulusBump, r: np.ndarray) -> np.ndarray:
     if isinstance(data, GaussianBump):
-        with np.errstate(over="ignore"):  # far tails underflow to 0, which is fine
-            return np.exp(-(((r - data.center) / data.width) ** 2))
+        # A tiny width overflows the square; its exp is 0, which is fine.
+        return np.exp(-(((r - data.center) / data.width) ** 2))
     inside = (r > data.r_lo) & (r < data.r_hi)
     phase = np.where(inside, (r - data.r_lo) / (data.r_hi - data.r_lo), 0.0)
     return np.where(inside, np.sin(math.pi * phase) ** 2, 0.0)
@@ -169,33 +168,38 @@ def sample_initial(data: InitialData, grid: "RadialGrid") -> "RadialProfile":
     Mass-parametrized kinds are integrated cell by cell (Gauss quadrature of
     the closed form against the volume weight r^(n-1)) and then rescaled so
     the grid quadrature reproduces the requested mass exactly; this keeps the
-    sampled mass refinement-invariant.
+    sampled mass refinement-invariant. Data that cannot be normalized, or
+    whose density overflows on this grid, is a ConfigError, so every profile
+    returned is finite and nonnegative.
     """
     from .grid import RadialProfile, integrate
 
-    if isinstance(data, ConstantData):
-        # Cell average of a constant is the constant; no quadrature error in any n.
-        return RadialProfile(grid, np.full(grid.n_cells, data.mass / grid.geometry.domain_volume))
-
-    half = 0.5 * grid.dr
-    mid = grid.center_radii
-    exponent = grid.geometry.n - 1
-    cell_integrals = np.zeros(grid.n_cells)
-    for node, weight in zip(_GAUSS_NODES, _GAUSS_WEIGHTS):
-        r = mid + half * node
-        cell_integrals += weight * _shape_values(data, r) * r ** exponent
-    cell_integrals *= half * grid.geometry.surface_coefficient
-    values = cell_integrals / grid.volumes
-
-    if data.mass == 0.0:
-        return RadialProfile(grid, np.zeros(grid.n_cells))
-    raw_mass = integrate(RadialProfile(grid, values))
-    if raw_mass <= 0.0:
-        raise ConfigError(
-            "initial profile has zero sampled mass and cannot be normalized; "
-            "check width / annulus bounds against the grid"
-        )
-    values *= data.mass / raw_mass
+    # Overflow and 0/0 end in the finiteness check below, not in a warning.
+    with np.errstate(all="ignore"):
+        if isinstance(data, ConstantData):
+            # Cell average of a constant is the constant; no quadrature error in any n.
+            values = np.full(grid.n_cells, data.mass / grid.geometry.domain_volume)
+        elif data.mass == 0.0:
+            values = np.zeros(grid.n_cells)
+        else:
+            half = 0.5 * grid.dr
+            mid = grid.center_radii
+            exponent = grid.geometry.n - 1
+            cell_integrals = np.zeros(grid.n_cells)
+            for node, weight in zip(_GAUSS_NODES, _GAUSS_WEIGHTS):
+                r = mid + half * node
+                cell_integrals += weight * _shape_values(data, r) * r ** exponent
+            cell_integrals *= half * grid.geometry.surface_coefficient
+            values = cell_integrals / grid.volumes
+            raw_mass = integrate(RadialProfile(grid, values))
+            if raw_mass <= 0.0:
+                raise ConfigError(
+                    "initial profile has zero sampled mass and cannot be normalized; "
+                    "check width / annulus bounds against the grid"
+                )
+            values *= data.mass / raw_mass
+    if not np.isfinite(values).all():
+        raise ConfigError(f"initial.mass = {data.mass!r} gives a non-finite density on this grid")
     return RadialProfile(grid, values)
 
 
@@ -240,6 +244,8 @@ class RunConfig:
         for p in self.lp_exponents:
             if not (math.isfinite(p) and p > 1.0):
                 raise ConfigError(f"lp exponents must be finite and > 1, got {p!r}")
+        if len(set(self.lp_exponents)) != len(self.lp_exponents):
+            raise ConfigError(f"lp exponents must be distinct, got {self.lp_exponents!r}")
         R = self.geometry.R
         if isinstance(self.initial, GaussianBump) and not self.initial.center < R:
             raise ConfigError(f"bump center {self.initial.center} must be < R = {R}")

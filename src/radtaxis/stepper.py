@@ -126,10 +126,11 @@ def initial_state(config: RunConfig, u0: RadialProfile | None = None) -> SimStat
 
 def _transfer_rates(u: RadialProfile, vr_faces: np.ndarray, law: DiffusionLaw) -> tuple[np.ndarray, np.ndarray]:
     """Donor-split rates of the interior faces: each face drains its inner
-    cell at `left` and its outer cell at `right` per unit density."""
+    cell at `left` and its outer cell at `right` per unit density. Every
+    state is nonnegative (sampled, or clipped by `_accept`), and so is u_face."""
     values = u.values
     grid = u.grid
-    u_face = np.maximum(0.5 * (values[:-1] + values[1:]), 0.0)
+    u_face = 0.5 * (values[:-1] + values[1:])
     a = grid.inner_conductances * law.eval(u_face)
     area_vr = grid.inner_face_areas * vr_faces[1:-1]
     left = a + np.maximum(area_vr, 0.0)

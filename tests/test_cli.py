@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 from xml.dom import minidom
 
 import numpy as np
@@ -83,6 +84,35 @@ class TestSimulate:
                        .replace("initial.center = 0.0", "initial.r_hi = 0.50001"))
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "zero sampled mass" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("changes", [
+        {"initial.mass": "1e308"},
+        # 1e300 spread over the ball's 4.2e-9 volume; at R = 1 it would be finite
+        {"n": "3", "R": "0.001", "initial.kind": "constant", "initial.mass": "1e300",
+         "initial.width": None, "initial.center": None},
+    ], ids=["gaussian", "constant_small_ball"])
+    def test_overflowing_data_exits_2_before_out_exists(self, tmp_path, changes, capsys):
+        lines = []
+        default = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"
+        for line in default.read_text().splitlines():
+            key = line.split("=", 1)[0].strip()
+            if key not in changes:
+                lines.append(line)
+            elif changes[key] is not None:
+                lines.append(f"{key} = {changes[key]}")
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "non-finite density" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_repeated_lp_exponent_exits_2_before_out_exists(self, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(GOOD.replace("lp = 2, 4", "lp = 2, 4, 2.0"))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "lp exponents must be distinct" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_missing_config_file_exits_3(self, tmp_path):
@@ -185,6 +215,15 @@ class TestPlot:
             assert main(["plot", "--csv", str(trace), "--cols", column,
                          "--out", str(svg)]) == 0
             assert svg.read_text().startswith("<svg")
+
+    def test_close_exponents_get_distinct_plottable_columns(self, tmp_path, config_path):
+        header = self.run_simulation(tmp_path, config_path).read_text().splitlines()[0]
+        assert header == "t,dt,mass,linf,lp_2,lp_4,u_boundary,dv_dnu,u_min"
+        config_path.write_text(GOOD.replace("lp = 2, 4", "lp = 2, 2.0000001, 2.5"))
+        trace = self.run_simulation(tmp_path, config_path)
+        assert trace.read_text().splitlines()[0].split(",")[4:7] == ["lp_2", "lp_2.0000001", "lp_2.5"]
+        assert main(["plot", "--csv", str(trace), "--cols", "lp_2,lp_2.0000001,lp_2.5",
+                     "--out", str(tmp_path / "lp.svg")]) == 0
 
     def test_missing_column_exits_2(self, tmp_path, config_path, capsys):
         trace = self.run_simulation(tmp_path, config_path)

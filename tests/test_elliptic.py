@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from radtaxis.elliptic import boundary_flux_bound, solve_v, vr_from_integral
-from radtaxis.errors import DomainError, NumericalError, SingularSystemError
+from radtaxis.errors import RadtaxisError
 from radtaxis.grid import RadialGrid, RadialProfile, integrate
 from radtaxis.model import BoundaryDatum, Geometry
 
@@ -74,19 +74,19 @@ class TestSolve:
         grid = RadialGrid(Geometry(2, 1.0), 32)
         bad = RadialProfile(grid, np.ones(32))
         bad.values[3] = math.nan
-        with pytest.raises(NumericalError):
+        with pytest.raises(RadtaxisError):
             solve_v(bad, BoundaryDatum(1.0))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("cell", [0, 3, 31])
     def test_every_non_finite_kind_raises_numerical_error(self, bad, cell):
-        # The screen runs only once the solve has failed: NaN and +inf fail the
-        # residual check, -inf makes the factorization fail. Both paths must
-        # name the non-finite density, not a singular matrix.
+        # Sampling and each step's update keep such data out of a run; if it
+        # gets here, NaN and +inf fail the residual check and -inf makes the
+        # factorization fail.
         grid = RadialGrid(Geometry(2, 1.0), 32)
         values = np.ones(32)
         values[cell] = bad
-        with pytest.raises(NumericalError, match="non-finite density"):
+        with pytest.raises(RadtaxisError, match="residual nan exceeds|not positive definite"):
             solve_v(RadialProfile(grid, values), BoundaryDatum(1.0))
 
     def test_residual_is_carried_and_within_tolerance(self):
@@ -102,7 +102,7 @@ class TestSolve:
         grid = RadialGrid(Geometry(2, 1.0), 64)
         values = np.ones(64)
         values[10] = -1e7
-        with pytest.raises(SingularSystemError, match="not positive definite"):
+        with pytest.raises(RadtaxisError, match="not positive definite"):
             solve_v(RadialProfile(grid, values), BoundaryDatum(1.0))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -196,10 +196,6 @@ class TestBoundaryFluxBound:
     def test_n3_example(self):
         # R^{-2} * 4 pi / (4 pi) = 1/4 at R = 2
         assert boundary_flux_bound(4.0 * math.pi, Geometry(3, 2.0)) == pytest.approx(0.25)
-
-    def test_negative_mass_rejected(self):
-        with pytest.raises(DomainError):
-            boundary_flux_bound(-1.0, Geometry(2, 1.0))
 
     def test_discrete_flux_obeys_mass_bound(self):
         # the scheme telescopes exactly, so dv/dnu <= M * c1(mass) + round-off

@@ -7,7 +7,7 @@ import pytest
 
 from radtaxis import lab, stepper
 from radtaxis.elliptic import solve_v
-from radtaxis.errors import ConfigError, SingularSystemError
+from radtaxis.errors import ConfigError, RadtaxisError
 from radtaxis.grid import RadialProfile, format_float
 from radtaxis.lab import (
     BLOWUP_SUSPECTED,
@@ -77,7 +77,7 @@ class TestRunCase:
             # the t = 0 solve and the first step's pass, the second step's fails
             calls.append(None)
             if len(calls) == 3:
-                raise SingularSystemError("injected")
+                raise RadtaxisError("injected")
             return solve_v(u, boundary)
 
         monkeypatch.setattr(stepper, "solve_v", failing_third)
@@ -504,7 +504,8 @@ class TestPlanParsing:
         ("alphas = 1\nvariant = a constant mass=1\nvariant = a constant mass=2", "ids must be unique"),
         ("alphas = 1\nvariant = a constant mass", "'mass' is not key=value"),
         ("alphas = 1\nvariant = a constant mass=1 mass=2", "duplicate key 'initial.mass'"),
-    ], ids=["no_alphas", "no_variant", "duplicate_id", "not_key_value", "duplicate_key"])
+        ("alphas = 0.5, 0.5\nvariant = a constant mass=1", "alphas must be distinct"),
+    ], ids=["no_alphas", "no_variant", "duplicate_id", "not_key_value", "duplicate_key", "duplicate_alpha"])
     def test_malformed_plan_exits_2_before_out_exists(self, tmp_path, lines, message, capsys):
         from radtaxis.cli import main
         from radtaxis.model import config_to_text

@@ -106,6 +106,13 @@ class TestSampling:
         with pytest.raises(ConfigError):
             sample_initial(GaussianBump(mass=1.0, width=1e-300), self.grid())
 
+    @pytest.mark.parametrize("data", [ConstantData(1e308), GaussianBump(mass=1e308, width=0.025),
+                                      AnnulusBump(mass=1e308, r_lo=0.025, r_hi=0.075)])
+    def test_overflowing_density_rejected_for_every_kind(self, data):
+        # The disk of radius 0.1 has area 0.031, so each density exceeds the largest float.
+        with pytest.raises(ConfigError, match="non-finite density"):
+            sample_initial(data, self.grid(R=0.1))
+
     def test_negative_mass_rejected(self):
         with pytest.raises(ConfigError):
             GaussianBump(mass=-1.0, width=0.1)
