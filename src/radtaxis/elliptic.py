@@ -16,8 +16,8 @@ import numpy as np
 
 from ._lapack import dptsv
 from .errors import RadtaxisError
-from .model import BoundaryDatum, Geometry, unit_ball_volume
-from .grid import RadialProfile
+from .grid import Geometry, RadialProfile
+from .model import BoundaryDatum
 
 _RESIDUAL_TOL = 1e-12
 
@@ -113,5 +113,4 @@ def boundary_flux_bound(u0_mass: float, geometry: Geometry) -> float:
     checked against along trajectories (valid as stated for M <= 1; the
     general bound carries an extra factor M).
     """
-    n = geometry.n
-    return geometry.R ** (1 - n) * u0_mass / (n * unit_ball_volume(n))
+    return geometry.R ** (1 - geometry.n) * u0_mass / geometry.surface_coefficient

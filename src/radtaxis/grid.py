@@ -1,5 +1,6 @@
-"""Cell-centered radial finite-volume mesh on the ball B_R in R^n.
+"""The ball B_R in R^n and its cell-centered radial finite-volume mesh.
 
+This is the bottom layer: it imports no other radtaxis module but `errors`.
 The mesh has no node at r = 0: the origin is a face with zero area (n >= 2)
 or zero flux by symmetry (n = 1), so the coordinate singularity of the radial
 Laplacian never enters. Cell volumes are exact differences of r^n, which
@@ -14,8 +15,50 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import RadtaxisError
-from .model import Geometry
+from .errors import ConfigError, RadtaxisError
+
+
+def unit_ball_volume(n: int) -> float:
+    """Volume of the unit ball in R^n: pi^(n/2) / Gamma(n/2 + 1).
+
+    Evaluated through the integer factorial forms so small dimensions come
+    out exact (2, pi, 4pi/3, ...) instead of carrying Gamma round-off. Where
+    a factorial does not convert to a float (odd n >= 171, even n >= 342)
+    this raises OverflowError; for a huge n the float power overflows first.
+    """
+    if n % 2 == 0:
+        return math.pi ** (n // 2) / math.factorial(n // 2)
+    k = (n - 1) // 2
+    power = (4.0 * math.pi) ** k
+    return 2.0 * math.factorial(k) * power / math.factorial(n)
+
+
+@dataclass(frozen=True)
+class Geometry:
+    """Ball of radius R in R^n, n >= 1, whose measures are finite positive floats."""
+
+    n: int
+    R: float
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.n, int) or self.n < 1:
+            raise ConfigError(f"space dimension n must be an integer >= 1, got {self.n!r}")
+        try:
+            measures = (self.R, unit_ball_volume(self.n), self.surface_coefficient, self.R ** self.n,
+                        self.domain_volume)
+        except OverflowError:
+            measures = (math.inf,)
+        if not all(0.0 < m < math.inf for m in measures):
+            raise ConfigError(f"ball radius and volume must be finite and > 0, got n = {self.n}, R = {self.R!r}")
+
+    @property
+    def surface_coefficient(self) -> float:
+        """omega = n * |B_1|; face area at radius r is omega * r^(n-1)."""
+        return self.n * unit_ball_volume(self.n)
+
+    @property
+    def domain_volume(self) -> float:
+        return unit_ball_volume(self.n) * self.R ** self.n
 
 
 class RadialGrid:
@@ -73,10 +116,16 @@ def integrate(profile: RadialProfile) -> float:
 
 
 def lp_norm(profile: RadialProfile, p: float) -> float:
-    """L^p norm by FV quadrature for p >= 1; p = math.inf returns max |f_i|."""
-    if p == math.inf:
-        return float(np.max(np.abs(profile.values)))
-    return float(np.dot(profile.grid.volumes, np.abs(profile.values) ** p)) ** (1.0 / p)
+    """L^p norm by FV quadrature for p >= 1; p = math.inf returns max |f_i|.
+
+    Formed as m (sum V_i (|f_i|/m)^p)^(1/p) with m = max |f_i|, so no power
+    exceeds 1 and a large p cannot overflow.
+    """
+    magnitude = np.abs(profile.values)
+    m = float(magnitude.max())
+    if p == math.inf or m == 0.0:
+        return m
+    return m * float(np.dot(profile.grid.volumes, (magnitude / m) ** p)) ** (1.0 / p)
 
 
 def boundary_trace(profile: RadialProfile) -> float:

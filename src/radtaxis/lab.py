@@ -20,22 +20,15 @@ import numpy as np
 
 from .elliptic import boundary_flux_bound, solve_v, vr_from_integral
 from .errors import ConfigError
-from .grid import (
-    RadialGrid,
-    RadialProfile,
-    format_float,
-    integrate,
-    lp_norm,
-    write_csv,
-)
+from .grid import Geometry, RadialGrid, RadialProfile, format_float, integrate, lp_norm, write_csv
 from .model import (
     BoundaryDatum,
     ConstantData,
-    Geometry,
     RunConfig,
     _parse_floats,
     _parse_int,
     config_to_text,
+    initial_profile,
     load_config,
     parse_flat_keys,
     parse_initial,
@@ -49,7 +42,6 @@ from .stepper import (
     cfl_dt,
     face_flux,
     initial_state,
-    resolve_limits,
     step,
 )
 
@@ -381,13 +373,10 @@ def verify_suite(config: RunConfig) -> list[CheckResult]:
     # Zero data is a fixed point: u stays identically zero, v pinned at M.
     zero_cfg = replace(short, initial=ConstantData(0.0))
     state = initial_state(zero_cfg)
-    resolved = resolve_limits(
-        zero_cfg, state, cfl_dt(state.u, state.elliptic.vr_faces, zero_cfg.diffusion, zero_cfg.cfl_safety)
-    )
     worst_zero = 0.0
     for _ in range(200):
         flux, bound = face_flux(state.u, state.elliptic.vr_faces, zero_cfg.diffusion)
-        out = step(state, resolved, zero_cfg.cfl_safety * bound, flux)
+        out = step(state, zero_cfg, zero_cfg.cfl_safety * bound, flux)
         state = out.state
         worst_zero = max(
             worst_zero,
@@ -579,8 +568,9 @@ def _parse_variant(line: str, base: RunConfig, source: str) -> SweepVariant:
         if key in entries:
             raise ConfigError(f"{source}: duplicate key {key!r}")
         entries[key] = value
-    initial = parse_initial(entries, source)
-    return SweepVariant(data_id, _override(base, entries, source, initial=initial))
+    config = _override(base, entries, source, initial=parse_initial(entries, source))
+    initial_profile(config)  # the variant's data on the base grid, checked once for every alpha
+    return SweepVariant(data_id, config)
 
 
 # ---------------------------------------------------------------------------

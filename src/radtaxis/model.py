@@ -1,60 +1,21 @@
-"""Problem definition: geometry, diffusion law, boundary datum, initial data, run config.
+"""Problem definition: diffusion law, boundary datum, initial data, run config.
 
 All types here are immutable after construction and safe to share between
-threads and sweep workers.
+threads and sweep workers. A RunConfig checks its fields only; its data is
+checked on its grid (`initial_profile`) where a config or plan is read, and
+again when a run starts. The ball, `Geometry`, is defined in `grid`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Collection, Sequence, Union
+from typing import Collection, Sequence, Union
 
 import numpy as np
 
 from .errors import ConfigError
-
-if TYPE_CHECKING:
-    from .grid import RadialGrid, RadialProfile
-
-
-def unit_ball_volume(n: int) -> float:
-    """Volume of the unit ball in R^n: pi^(n/2) / Gamma(n/2 + 1).
-
-    Evaluated through the integer factorial forms so small dimensions come
-    out exact (2, pi, 4pi/3, ...) instead of carrying Gamma round-off.
-    """
-    if n % 2 == 0:
-        return math.pi ** (n // 2) / math.factorial(n // 2)
-    k = (n - 1) // 2
-    return 2.0 * math.factorial(k) * (4.0 * math.pi) ** k / math.factorial(n)
-
-
-@dataclass(frozen=True)
-class Geometry:
-    """Ball of radius R in R^n, n >= 1."""
-
-    n: int
-    R: float
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ConfigError(f"space dimension n must be an integer >= 1, got {self.n!r}")
-        if not (math.isfinite(self.R) and self.R > 0):
-            raise ConfigError(f"ball radius R must be finite and > 0, got {self.R!r}")
-
-    @property
-    def unit_ball_volume(self) -> float:
-        return unit_ball_volume(self.n)
-
-    @property
-    def surface_coefficient(self) -> float:
-        """omega = n * |B_1|; face area at radius r is omega * r^(n-1)."""
-        return self.n * self.unit_ball_volume
-
-    @property
-    def domain_volume(self) -> float:
-        return self.unit_ball_volume * self.R ** self.n
+from .grid import Geometry, RadialGrid, RadialProfile, integrate
 
 
 @dataclass(frozen=True)
@@ -162,7 +123,7 @@ def _shape_values(data: GaussianBump | AnnulusBump, r: np.ndarray) -> np.ndarray
     return np.where(inside, np.sin(math.pi * phase) ** 2, 0.0)
 
 
-def sample_initial(data: InitialData, grid: "RadialGrid") -> "RadialProfile":
+def sample_initial(data: InitialData, grid: RadialGrid) -> RadialProfile:
     """Sample initial data as cell averages on the radial grid.
 
     Mass-parametrized kinds are integrated cell by cell (Gauss quadrature of
@@ -172,8 +133,6 @@ def sample_initial(data: InitialData, grid: "RadialGrid") -> "RadialProfile":
     whose density overflows on this grid, is a ConfigError, so every profile
     returned is finite and nonnegative.
     """
-    from .grid import RadialProfile, integrate
-
     # Overflow and 0/0 end in the finiteness check below, not in a warning.
     with np.errstate(all="ignore"):
         if isinstance(data, ConstantData):
@@ -251,11 +210,11 @@ class RunConfig:
             raise ConfigError(f"bump center {self.initial.center} must be < R = {R}")
         if isinstance(self.initial, AnnulusBump) and not self.initial.r_hi <= R:
             raise ConfigError(f"annulus outer radius {self.initial.r_hi} must be <= R = {R}")
-        # Data that samples to zero mass on this grid fails here, before a
-        # run or a sweep writes anything.
-        from .grid import RadialGrid
 
-        sample_initial(self.initial, RadialGrid(self.geometry, self.cells))
+
+def initial_profile(config: RunConfig) -> RadialProfile:
+    """`sample_initial` of the config's data on the config's grid."""
+    return sample_initial(config.initial, RadialGrid(config.geometry, config.cells))
 
 
 _REQUIRED_KEYS = ("n", "R", "alpha", "kappa", "M", "initial.kind", "cells", "t_end")
@@ -366,7 +325,7 @@ def parse_initial(entries: dict[str, str], source: str) -> InitialData:
 def parse_config(text: str, source: str = "<config>") -> RunConfig:
     """Parse the flat key=value run-config format."""
     entries = parse_flat_keys(text, source, _CONFIG_KEYS, _REQUIRED_KEYS)
-    return RunConfig(
+    config = RunConfig(
         geometry=Geometry(n=_parse_int(entries, "n", source), R=_parse_float(entries, "R", source)),
         diffusion=DiffusionLaw(
             alpha=_parse_float(entries, "alpha", source),
@@ -376,6 +335,8 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         initial=parse_initial(entries, source),
         **parse_run_keys(entries, source),
     )
+    initial_profile(config)  # data that cannot be sampled fails here, before any output
+    return config
 
 
 def load_config(path: str | Path) -> RunConfig:

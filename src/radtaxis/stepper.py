@@ -35,8 +35,8 @@ import numpy as np
 from ._lapack import dgtsv
 from .elliptic import EllipticSolution, solve_v
 from .errors import RadtaxisError
-from .grid import RadialGrid, RadialProfile, boundary_trace, integrate, lp_norm
-from .model import DiffusionLaw, RunConfig, sample_initial
+from .grid import RadialProfile, boundary_trace, integrate, lp_norm
+from .model import DiffusionLaw, RunConfig, initial_profile
 
 _NEG_CLIP_REL = 1e-13
 
@@ -107,10 +107,10 @@ Recorder = Callable[[TraceRecord, SimState], str | None]
 
 
 def initial_state(config: RunConfig, u0: RadialProfile | None = None) -> SimState:
-    """Package the t = 0 state: u0 (sampled from config.initial unless
-    given), its signal solve, its mass and its minimum."""
+    """Package the t = 0 state: u0 (`initial_profile` unless given), its
+    signal solve, its mass and its minimum."""
     if u0 is None:
-        u0 = sample_initial(config.initial, RadialGrid(config.geometry, config.cells))
+        u0 = initial_profile(config)
     elliptic = solve_v(u0, config.boundary)
     return SimState(
         t=0.0,
@@ -342,22 +342,18 @@ def resolve_limits(config: RunConfig, state: SimState, first_dt: float) -> RunCo
 def _explicit_march(state: SimState, config: RunConfig) -> Iterator[StepOutcome]:
     """Explicit steps at cfl_safety times each state's positivity bound;
     `advance` stops at the first outcome that is not ADVANCED."""
-    resolved = None
     while state.t < config.t_end:
         flux, bound = face_flux(state.u, state.elliptic.vr_faces, config.diffusion)
-        dt = config.cfl_safety * bound
-        if resolved is None:
-            resolved = resolve_limits(config, state, dt)
-        outcome = step(state, resolved, dt, flux)
+        outcome = step(state, config, config.cfl_safety * bound, flux)
         yield outcome
         state = outcome.state
 
 
-def _implicit_march(state: SimState, config: RunConfig) -> Iterator[StepOutcome]:
+def _implicit_march(state: SimState, config: RunConfig, dt: float) -> Iterator[StepOutcome]:
     """Implicit steps under the sup-norm-change controller.
 
-    dt starts at cfl_safety times the explicit positivity bound and never
-    exceeds t_end / IMPLICIT_MIN_STEPS. A rejected attempt halves it; an
+    dt starts at `advance`'s first dt and never exceeds
+    t_end / IMPLICIT_MIN_STEPS. A rejected attempt halves it; an
     accepted step scales it by min(2, 0.9 IMPLICIT_TOL / change). A dt that
     covers the rest of the horizon is cut to it, and one that would leave
     less than itself is cut to half of it, so no step is a round-off sliver.
@@ -365,8 +361,6 @@ def _implicit_march(state: SimState, config: RunConfig) -> Iterator[StepOutcome]
     there, where t_end - t is exact (Sterbenz) and t + (t_end - t) rounds
     to t_end. Yields accepted steps and the outcome that ends the run.
     """
-    dt = cfl_dt(state.u, state.elliptic.vr_faces, config.diffusion, config.cfl_safety)
-    resolved = resolve_limits(config, state, dt)
     dt_max = config.t_end / IMPLICIT_MIN_STEPS
     while state.t < config.t_end:
         remaining = config.t_end - state.t
@@ -375,7 +369,7 @@ def _implicit_march(state: SimState, config: RunConfig) -> Iterator[StepOutcome]
             dt = remaining
         elif 2.0 * dt > remaining:
             dt = 0.5 * remaining
-        outcome = implicit_step(state, resolved, dt)
+        outcome = implicit_step(state, config, dt)
         if outcome.status is StepStatus.REJECTED:
             dt *= 0.5
             continue
@@ -388,8 +382,10 @@ def _implicit_march(state: SimState, config: RunConfig) -> Iterator[StepOutcome]
 def advance(state: SimState, config: RunConfig, recorder: Recorder | None = None) -> tuple[StepOutcome, SimState]:
     """March to t_end, the sup-norm threshold, dt underflow, or a recorder stop.
 
-    config.scheme picks the explicit or the implicit march. The recorder
-    fires at t = 0, every output_stride accepted steps, and at termination.
+    One start-up serves both schemes: the first stable dt resolves the
+    limits (`resolve_limits`) and is the implicit march's first dt. The
+    recorder fires at t = 0, every output_stride accepted steps, and at
+    termination.
     A recorder returns None to continue, or a reason that ends the run at
     the recorded state as CHECK_FAILED, even on the record after a
     non-advancing step. Identical configs yield bit-identical trajectories
@@ -402,8 +398,11 @@ def advance(state: SimState, config: RunConfig, recorder: Recorder | None = None
     reason = record(state)
     stop = None
     if reason is None:
-        march = _implicit_march if config.scheme == "implicit" else _explicit_march
-        for outcome in march(state, config):
+        dt = cfl_dt(state.u, state.elliptic.vr_faces, config.diffusion, config.cfl_safety)
+        resolved = resolve_limits(config, state, dt)
+        march = (_implicit_march(state, resolved, dt) if config.scheme == "implicit"
+                 else _explicit_march(state, resolved))
+        for outcome in march:
             if outcome.status is not StepStatus.ADVANCED:
                 stop = outcome
                 break

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from radtaxis.elliptic import boundary_flux_bound, solve_v, vr_from_integral
-from radtaxis.grid import RadialGrid, RadialProfile
+from radtaxis.grid import Geometry, RadialGrid, RadialProfile
 from radtaxis.lab import (
     BLOWUP_SUSPECTED,
     BOUNDED,
@@ -32,7 +32,6 @@ from radtaxis.model import (
     ConstantData,
     DiffusionLaw,
     GaussianBump,
-    Geometry,
     RunConfig,
     load_config,
 )

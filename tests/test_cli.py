@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 from xml.dom import minidom
 
@@ -7,6 +10,7 @@ import pytest
 
 from radtaxis.cli import main
 from radtaxis.errors import ConfigError
+from radtaxis.grid import RadialGrid
 from radtaxis.svg import read_table, render_svg
 
 GOOD = """
@@ -27,11 +31,53 @@ lp = 2, 4
 """
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def edited_default(path: Path, changes: dict[str, str | None]) -> Path:
+    """Write configs/default.cfg to `path` with each key in `changes` set to
+    its value, or dropped where the value is None."""
+    lines = []
+    for line in (ROOT / "configs" / "default.cfg").read_text().splitlines():
+        key = line.split("=", 1)[0].strip()
+        if key not in changes:
+            lines.append(line)
+        elif changes[key] is not None:
+            lines.append(f"{key} = {changes[key]}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.fixture
+def grid_builds(monkeypatch):
+    """The arguments of every RadialGrid built from here on; patching the
+    class counts builds through every import path."""
+    calls = []
+    init = RadialGrid.__init__
+
+    def counting(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(RadialGrid, "__init__", counting)
+    return calls
+
+
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "case.cfg"
     path.write_text(GOOD)
     return path
+
+
+@pytest.mark.parametrize("command, builds", [("simulate", 2), ("verify", 28)])
+def test_a_command_builds_each_grid_once(tmp_path, config_path, grid_builds, command, builds):
+    # Reading the config builds one grid to check its data. simulate's run
+    # builds one more; verify builds 23 for its fixed checks and one for each
+    # of its short runs: the horizon probe, two runs and the zero data.
+    argv = ["--config", str(config_path)] + (["--out", str(tmp_path / "o")] if command == "simulate" else [])
+    assert main([command] + argv) == 0
+    assert len(grid_builds) == builds
 
 
 class TestSimulate:
@@ -93,20 +139,19 @@ class TestSimulate:
          "initial.width": None, "initial.center": None},
     ], ids=["gaussian", "constant_small_ball"])
     def test_overflowing_data_exits_2_before_out_exists(self, tmp_path, changes, capsys):
-        lines = []
-        default = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"
-        for line in default.read_text().splitlines():
-            key = line.split("=", 1)[0].strip()
-            if key not in changes:
-                lines.append(line)
-            elif changes[key] is not None:
-                lines.append(f"{key} = {changes[key]}")
-        cfg = tmp_path / "huge.cfg"
-        cfg.write_text("\n".join(lines) + "\n")
+        cfg = edited_default(tmp_path / "huge.cfg", changes)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "non-finite density" in err
         assert not (tmp_path / "o").exists()
+
+    def test_huge_lp_exponent_gives_a_finite_column(self, tmp_path):
+        cfg = edited_default(tmp_path / "huge_p.cfg", {"lp": "1e300", "t_end": "0.001"})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        table = read_table(tmp_path / "o" / "trace.csv")
+        column = np.asarray(table["lp_1e+300"])
+        assert column.size > 1 and np.isfinite(column).all()
+        assert column == pytest.approx(np.asarray(table["linf"]), rel=1e-12)
 
     def test_repeated_lp_exponent_exits_2_before_out_exists(self, tmp_path, capsys):
         cfg = tmp_path / "twice.cfg"
@@ -153,6 +198,21 @@ class TestVerify:
         assert len(lines) >= 15
         assert all(" pass " in l for l in lines)
 
+    @pytest.mark.parametrize("changes", [
+        {"n": "171"},  # the odd-n factorial of the unit-ball volume overflows
+        {"R": "1e200"},  # R ** n overflows
+        {"R": "1e-200"},  # R ** n underflows to zero
+    ], ids=["n171", "R1e200", "R1e-200"])
+    def test_unmeasurable_ball_exits_2_without_a_traceback(self, tmp_path, changes):
+        constant = {"initial.kind": "constant", "initial.width": None, "initial.center": None}
+        cfg = edited_default(tmp_path / "ball.cfg", {**constant, **changes})
+        result = subprocess.run([sys.executable, "-m", "radtaxis", "verify", "--config", str(cfg)],
+                                env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                                capture_output=True, text=True)
+        assert result.returncode == 2
+        assert "config error: ball radius and volume must be finite and > 0" in result.stderr
+        assert "Traceback" not in result.stderr
+
 
 class TestSweepCommand:
     def test_sweep_writes_deterministic_csv(self, tmp_path, config_path):
@@ -172,19 +232,10 @@ class TestSweepCommand:
             assert (out / "sweep_timings.csv").exists()
         assert outputs[0] == outputs[1]
 
-    def test_workers_flag_does_not_rebuild_the_cases(self, tmp_path, config_path, monkeypatch):
-        # Building a RunConfig samples its initial data once, so the count of
-        # samplings counts case builds. One worker keeps every run in-process.
-        from radtaxis import model
-
-        calls = []
-        sample = model.sample_initial
-
-        def counting(*args):
-            calls.append(args)
-            return sample(*args)
-
-        monkeypatch.setattr(model, "sample_initial", counting)
+    def test_workers_flag_does_not_rebuild_the_cases(self, tmp_path, config_path, grid_builds):
+        # Reading the config and the variant builds one grid each to check the
+        # data, and each run builds its own. One worker keeps every run
+        # in-process, where every build is counted.
         plan = tmp_path / "sweep.plan"
         plan.write_text(
             f"base = {config_path.name}\n"
@@ -193,12 +244,11 @@ class TestSweepCommand:
         )
         counts = []
         for flags in ([], ["--workers", "1"]):
-            calls.clear()
+            grid_builds.clear()
             argv = ["sweep", "--plan", str(plan), "--out", str(tmp_path / f"out{len(flags)}")]
             assert main(argv + flags) == 0
-            counts.append(len(calls))
-        assert counts[0] > 0
-        assert counts[0] == counts[1]
+            counts.append(len(grid_builds))
+        assert counts == [2 + 2, 2 + 2]
 
 
 class TestPlot:

@@ -5,8 +5,8 @@ import pytest
 
 from radtaxis.elliptic import boundary_flux_bound, solve_v, vr_from_integral
 from radtaxis.errors import RadtaxisError
-from radtaxis.grid import RadialGrid, RadialProfile, integrate
-from radtaxis.model import BoundaryDatum, Geometry
+from radtaxis.grid import Geometry, RadialGrid, RadialProfile, integrate
+from radtaxis.model import BoundaryDatum
 
 
 def constant_profile(n, R, cells, level):

@@ -1,23 +1,57 @@
 import math
+import os
+import re
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from radtaxis.errors import RadtaxisError
+from radtaxis.errors import ConfigError, RadtaxisError
 from radtaxis.grid import (
+    Geometry,
     RadialGrid,
     RadialProfile,
     boundary_trace,
     integrate,
     lp_norm,
+    unit_ball_volume,
     write_state_csv,
 )
-from radtaxis.model import Geometry, unit_ball_volume
 
 
 @pytest.fixture
 def disk_grid():
     return RadialGrid(Geometry(n=2, R=1.0), 128)
+
+
+def test_grid_is_the_bottom_layer():
+    script = "import sys, radtaxis.grid; print(sorted(m for m in sys.modules if m.startswith('radtaxis.')))"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "['radtaxis.errors', 'radtaxis.grid']"
+
+
+@pytest.mark.parametrize("n,R", [
+    (171, 1.0),  # the smallest odd n whose factorial does not convert to a float
+    (342, 1.0),  # the smallest even n whose factorial does not convert to a float
+    (100_000, 1.0), (100_001, 1.0),  # the float power overflows first
+    (2, 1e200),  # R^n overflows
+    (2, 1e-200),  # R^n underflows to zero
+    (100, 1e-3),  # R^n is 1e-300, but |B_1| R^n underflows to zero
+    (2, 0.0), (2, -1.0), (2, math.inf), (2, math.nan),
+])
+def test_geometry_rejects_a_ball_it_cannot_measure(n, R):
+    with pytest.raises(ConfigError, match=re.escape(f"must be finite and > 0, got n = {n}, R = {R!r}")):
+        Geometry(n, R)
+
+
+@pytest.mark.parametrize("n", [169, 340])
+def test_geometry_accepts_the_largest_measurable_dimensions(n):
+    assert Geometry(n, 1.0).domain_volume == unit_ball_volume(n) > 0.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -92,6 +126,15 @@ def test_lp_norm_zero(disk_grid):
     zero = RadialProfile(disk_grid, np.zeros(disk_grid.n_cells))
     for p in (1.0, 2.0, math.inf):
         assert lp_norm(zero, p) == 0.0
+
+
+def test_lp_norm_of_huge_p_is_the_sup_norm(disk_grid):
+    bump = RadialProfile(disk_grid, 5.0 * np.exp(-((disk_grid.center_radii / 0.3) ** 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value = lp_norm(bump, 1e300)
+    assert math.isfinite(value)
+    assert value == pytest.approx(lp_norm(bump, math.inf), rel=1e-12)
 
 
 def test_lp1_matches_integral_for_nonnegative(disk_grid):

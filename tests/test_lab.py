@@ -8,7 +8,7 @@ import pytest
 from radtaxis import lab, stepper
 from radtaxis.elliptic import solve_v
 from radtaxis.errors import ConfigError, RadtaxisError
-from radtaxis.grid import RadialProfile, format_float
+from radtaxis.grid import Geometry, RadialProfile, format_float
 from radtaxis.lab import (
     BLOWUP_SUSPECTED,
     BOUNDED,
@@ -31,7 +31,6 @@ from radtaxis.model import (
     ConstantData,
     DiffusionLaw,
     GaussianBump,
-    Geometry,
     RunConfig,
     load_config,
 )

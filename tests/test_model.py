@@ -9,23 +9,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radtaxis.errors import ConfigError
-from radtaxis.grid import RadialGrid, integrate
+from radtaxis.grid import Geometry, RadialGrid, integrate, unit_ball_volume
 from radtaxis.model import (
     AnnulusBump,
     BoundaryDatum,
     ConstantData,
     DiffusionLaw,
     GaussianBump,
-    Geometry,
     RunConfig,
     _CONFIG_KEYS,
     _KINDS,
     _RUN_KEYS,
     config_to_text,
+    initial_profile,
     parse_config,
     sample_initial,
-    unit_ball_volume,
 )
+from radtaxis.stepper import initial_state
 
 
 def test_unit_ball_volumes():
@@ -187,7 +187,7 @@ class TestConfigParsing:
         config = parse_config(text)
         assert config.initial == ConstantData(mass=2.0)
         # mass 2 over the unit disk: level = 2/pi
-        level = sample_initial(config.initial, RadialGrid(config.geometry, config.cells)).values
+        level = initial_profile(config).values
         assert np.all(level == pytest.approx(2.0 / math.pi))
 
     def test_irrelevant_initial_key_rejected(self):
@@ -305,7 +305,20 @@ class TestRunConfigValidation:
 
     def test_data_must_have_mass_on_the_grid(self):
         # no Gauss node of the 32-cell grid falls inside the annulus
-        thin = AnnulusBump(mass=1.0, r_lo=0.5, r_hi=0.50001)
+        text = "\n".join(l for l in GOOD_CONFIG.replace("cells = 64", "cells = 32").splitlines()
+                         if not l.startswith("initial."))
+        text += "\ninitial.kind = annulus\ninitial.mass = 1.0\ninitial.r_lo = 0.5\ninitial.r_hi = 0.50001\n"
         with pytest.raises(ConfigError, match="zero sampled mass"):
-            self.base(initial=thin)
-        assert self.base(initial=replace(thin, mass=0.0)).initial.mass == 0.0
+            parse_config(text)
+        assert parse_config(text.replace("mass = 1.0", "mass = 0.0")).initial.mass == 0.0
+        # A config built in code is checked when its run starts.
+        thin = self.base(initial=AnnulusBump(mass=1.0, r_lo=0.5, r_hi=0.50001))
+        with pytest.raises(ConfigError, match="zero sampled mass"):
+            initial_state(thin)
+
+    def test_replace_builds_no_grid(self, monkeypatch):
+        config = self.base()
+        built = []
+        monkeypatch.setattr(RadialGrid, "__init__", lambda grid, *args: built.append(args))
+        assert replace(config, t_end=2.0).t_end == 2.0
+        assert built == []
