@@ -79,6 +79,11 @@ class RadialGrid:
         omega = geometry.surface_coefficient
         self.volumes = (omega / n) * np.diff(self.face_radii ** n)
         self.face_areas = omega * self.face_radii ** (n - 1)
+        # In high dimension r^n underflows near the origin, leaving cells that
+        # hold no volume and a singular signal matrix.
+        if not (np.all(self.volumes > 0.0) and np.all(self.face_areas[1:] > 0.0)):
+            raise ConfigError(f"a cell of the n = {n} ball underflows to zero volume or face area "
+                              f"with {n_cells} cells")
         # Face conductances A/dr; the origin face never carries flux (zero
         # area for n >= 2, symmetry for n = 1).
         conductances = self.face_areas / self.dr

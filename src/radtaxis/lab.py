@@ -9,9 +9,14 @@ distinguish genuine singularity formation from resolution exhaustion.
 """
 from __future__ import annotations
 
+import io
 import math
+import os
+import pickle
+import select
+import signal
+import struct
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -55,6 +60,8 @@ SIGNAL_BOUND_TOL = 1e-12
 FLUX_BOUND_SLACK = 1e-8
 PLATEAU_WINDOW = 0.2
 PLATEAU_GROWTH = 0.01
+ZERO_FIXED_POINT_TOL = 1e-12
+SEPARATION_RESIDUAL_TOL = 1.0
 
 
 @dataclass(frozen=True)
@@ -289,12 +296,6 @@ def paired_separation(base: SimState, config: RunConfig, eps: float, steps: int)
     return np.asarray(ts), np.asarray(ws)
 
 
-def _short_horizon(config: RunConfig, max_steps: int = 400) -> RunConfig:
-    state0 = initial_state(config)
-    dt0 = cfl_dt(state0.u, state0.elliptic.vr_faces, config.diffusion, config.cfl_safety)
-    return replace(config, t_end=min(config.t_end, max_steps * dt0), output_stride=1)
-
-
 def verify_suite(config: RunConfig) -> list[CheckResult]:
     """Evaluate every analytically testable identity on a short trajectory.
 
@@ -365,8 +366,17 @@ def verify_suite(config: RunConfig) -> list[CheckResult]:
     rep_order = _ls_order(ladder, gaps)
     checks.append(CheckResult("gradient_representation_n3_order", rep_order >= 1.5, rep_order, 1.5))
 
-    # Short-trajectory invariants for the supplied config.
-    short = _short_horizon(config)
+    # Short-trajectory invariants for the supplied config, over at most 400
+    # steps of its first stable dt.
+    state0 = initial_state(config)
+    dt0 = cfl_dt(state0.u, state0.elliptic.vr_faces, config.diffusion, config.cfl_safety)
+    if not 0.0 < dt0 < math.inf:
+        # No trajectory to check, so each check on one fails unmeasured.
+        unmeasured = [(check.name, check.tol) for check in OnlineChecker(config, state0).summaries()]
+        unmeasured += [("zero_fixed_point", ZERO_FIXED_POINT_TOL), ("trajectory_determinism", 0.0),
+                       ("separation_growth", SEPARATION_RESIDUAL_TOL)]
+        return checks + [CheckResult(name, False, math.nan, tol) for name, tol in unmeasured]
+    short = replace(config, t_end=min(config.t_end, 400 * dt0), output_stride=1)
     report = run_case(short)
     checks += report.checks
 
@@ -383,7 +393,8 @@ def verify_suite(config: RunConfig) -> list[CheckResult]:
             float(np.max(np.abs(state.u.values))),
             float(np.max(np.abs(state.elliptic.v - M))) / M,
         )
-    checks.append(CheckResult("zero_fixed_point", worst_zero <= 1e-12, worst_zero, 1e-12))
+    checks.append(CheckResult("zero_fixed_point", worst_zero <= ZERO_FIXED_POINT_TOL, worst_zero,
+                              ZERO_FIXED_POINT_TOL))
 
     # Bitwise determinism of the recorder stream: a second run of the short
     # case must reproduce the records of the first.
@@ -395,8 +406,8 @@ def verify_suite(config: RunConfig) -> list[CheckResult]:
     log_growth = np.log(np.maximum(ws, 1e-300)) - math.log(max(ws[0], 1e-300))
     slope = float(np.polyfit(ts[1:], log_growth[1:], 1)[0]) if len(ts) > 2 else 0.0
     residual = float(np.max(log_growth - slope * ts)) if len(ts) > 2 else 0.0
-    ok = math.isfinite(slope) and residual <= 1.0
-    checks.append(CheckResult("separation_growth", ok, residual, 1.0))
+    ok = math.isfinite(slope) and residual <= SEPARATION_RESIDUAL_TOL
+    checks.append(CheckResult("separation_growth", ok, residual, SEPARATION_RESIDUAL_TOL))
 
     return checks
 
@@ -467,38 +478,132 @@ def _sweep_case(args: tuple[float, str, RunConfig]) -> SweepRow:
     )
 
 
-def _fault_row(alpha: float, data_id: str, exc: Exception) -> SweepRow:
-    return SweepRow(alpha, data_id, TOLERANCE_FAILURE, math.nan, math.nan, 0, math.nan,
-                    f"{type(exc).__name__}: {exc}")
+def _fault_row(alpha: float, data_id: str, detail: str) -> SweepRow:
+    return SweepRow(alpha, data_id, TOLERANCE_FAILURE, math.nan, math.nan, 0, math.nan, detail)
+
+
+# A case index in the ticket pipe. Fixed width, so one read takes one ticket.
+_TICKET = struct.Struct("=I")
+
+
+def _take_cases(cases: Sequence[tuple[float, str, RunConfig]], tickets: tuple[int, int],
+                ahead: int) -> Iterator[tuple[int, SweepRow]]:
+    """Run the cases whose tickets this worker takes from the shared pipe,
+    yielding (index, row) as each one finishes.
+
+    For each ticket it takes, a worker at once puts back the ticket `ahead`
+    places on. So the pipe never holds more than the `ahead` tickets written
+    at the start, at most PIPE_BUF bytes: no write blocks, and no worker
+    waits on a writer. A ticket past the last case means stop; it goes back
+    too, for the next worker to take.
+    """
+    take, give = tickets
+    while True:
+        (index,) = _TICKET.unpack(os.read(take, _TICKET.size))
+        os.write(give, _TICKET.pack(index + ahead))
+        if index >= len(cases):
+            return
+        alpha, data_id, _ = cases[index]
+        try:
+            row = _sweep_case(cases[index])
+        except Exception as exc:
+            row = _fault_row(alpha, data_id, f"{type(exc).__name__}: {exc}")
+        yield index, row
+
+
+def _fork_worker(cases: Sequence[tuple[float, str, RunConfig]], tickets: tuple[int, int],
+                 ahead: int) -> tuple[int, int]:
+    """Fork a worker that sends each (index, row) it finishes, pickled, down
+    its own pipe; return its pid and the pipe's read end. The worker leaves
+    through `os._exit`, so atexit handlers and stdio buffers run only here."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            with os.fdopen(write_end, "wb") as out:
+                for item in _take_cases(cases, tickets, ahead):
+                    pickle.dump(item, out)
+                    out.flush()
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _drain(poller: select.poll, received: dict[int, bytearray], open_ends: set[int], block: bool) -> None:
+    """Append what each ready row pipe holds to its bytes in `received`; a
+    pipe at its end leaves `open_ends`."""
+    for fd, _ in poller.poll(None if block else 0):
+        chunk = os.read(fd, 1 << 16)
+        if chunk:
+            received[fd] += chunk
+        else:
+            poller.unregister(fd)
+            open_ends.discard(fd)
+
+
+def _unpickle_rows(data: bytes) -> Iterator[tuple[int, SweepRow]]:
+    stream = io.BytesIO(data)
+    while stream.tell() < len(data):
+        try:
+            yield pickle.load(stream)
+        except (EOFError, pickle.UnpicklingError):
+            return  # a row cut short: its worker died while sending it
+
+
+def _exit_text(pid: int, status: int) -> str:
+    code = os.waitstatus_to_exitcode(status)
+    return f"worker {pid} killed by signal {-code}" if code < 0 else f"worker {pid} exited with status {code}"
 
 
 def run_sweep(plan: SweepPlan) -> list[SweepRow]:
     """Run the alpha x data cross product; rows sorted by (alpha, data_id).
 
-    Output is keyed by case, never by completion order, so the table is
-    identical for any worker count. At most one worker is forked per case,
-    and one worker runs in-process. A crashing case becomes a
-    tolerance_failure row naming the exception; the sweep continues.
+    This process is one worker and forks `min(workers, cases) - 1` more, so
+    `workers = 1` forks none. Every worker takes the next case from one
+    shared pipe of tickets, one case at a time. Output is keyed by case,
+    never by completion order, so the table is identical for any worker
+    count. A crashing case becomes a tolerance_failure row naming the
+    exception, and a case whose worker died one naming the worker's exit
+    status; the sweep continues either way.
     """
-    rows: list[SweepRow | None] = [None] * len(plan.cases)
-    workers = min(plan.workers, len(plan.cases))
-    if workers == 1:
-        for index, case in enumerate(plan.cases):
-            try:
-                rows[index] = _sweep_case(case)
-            except Exception as exc:
-                rows[index] = _fault_row(case[0], case[1], exc)
-    else:
-        # The fork start method launches all max_workers processes at the
-        # first submit, so the cap above also bounds the forks.
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sweep_case, case) for case in plan.cases]
-            for index, future in enumerate(futures):
-                try:
-                    rows[index] = future.result()
-                except Exception as exc:
-                    rows[index] = _fault_row(plan.cases[index][0], plan.cases[index][1], exc)
-    return [row for row in rows if row is not None]
+    cases = plan.cases
+    rows: list[SweepRow | None] = [None] * len(cases)
+    ahead = min(len(cases), select.PIPE_BUF // _TICKET.size)
+    tickets = os.pipe()
+    os.write(tickets[1], b"".join(_TICKET.pack(index) for index in range(ahead)))
+    children: dict[int, int] = {}  # pid -> read end of its row pipe
+    statuses: dict[int, int] = {}
+    try:
+        for _ in range(min(plan.workers, len(cases)) - 1):
+            pid, read_end = _fork_worker(cases, tickets, ahead)
+            children[pid] = read_end
+        poller = select.poll()
+        for read_end in children.values():
+            poller.register(read_end, select.POLLIN)
+        received = {read_end: bytearray() for read_end in children.values()}
+        open_ends = set(received)
+        for index, row in _take_cases(cases, tickets, ahead):
+            rows[index] = row
+            _drain(poller, received, open_ends, block=False)  # so no worker waits to send
+        while open_ends:
+            _drain(poller, received, open_ends, block=True)
+        for pid, read_end in children.items():
+            statuses[pid] = os.waitpid(pid, 0)[1]
+            for index, row in _unpickle_rows(received[read_end]):
+                rows[index] = row
+    finally:
+        for pid in children.keys() - statuses.keys():  # this process is raising: end its workers
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in (*tickets, *children.values()):
+            os.close(fd)
+    lost = "; ".join(_exit_text(pid, status) for pid, status in statuses.items() if status != 0)
+    return [row if row is not None else _fault_row(alpha, data_id, f"worker lost: {lost}")
+            for row, (alpha, data_id, _) in zip(rows, cases)]
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], path: str | Path) -> None:

@@ -48,6 +48,10 @@ def edited_default(path: Path, changes: dict[str, str | None]) -> Path:
     return path
 
 
+# The edits that turn default.cfg's gaussian bump into constant data.
+CONSTANT_DATA = {"initial.kind": "constant", "initial.width": None, "initial.center": None}
+
+
 @pytest.fixture
 def grid_builds(monkeypatch):
     """The arguments of every RadialGrid built from here on; patching the
@@ -204,14 +208,55 @@ class TestVerify:
         {"R": "1e-200"},  # R ** n underflows to zero
     ], ids=["n171", "R1e200", "R1e-200"])
     def test_unmeasurable_ball_exits_2_without_a_traceback(self, tmp_path, changes):
-        constant = {"initial.kind": "constant", "initial.width": None, "initial.center": None}
-        cfg = edited_default(tmp_path / "ball.cfg", {**constant, **changes})
+        cfg = edited_default(tmp_path / "ball.cfg", {**CONSTANT_DATA, **changes})
         result = subprocess.run([sys.executable, "-m", "radtaxis", "verify", "--config", str(cfg)],
                                 env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
                                 capture_output=True, text=True)
         assert result.returncode == 2
         assert "config error: ball radius and volume must be finite and > 0" in result.stderr
         assert "Traceback" not in result.stderr
+
+    def test_unusable_first_dt_fails_the_trajectory_checks(self, tmp_path):
+        # D(u) overflows at alpha = -400, so the first stable dt is 0 and no
+        # trajectory can be checked. A fresh interpreter, because the
+        # overflow warnings are errors under pytest.
+        cfg = edited_default(tmp_path / "steep.cfg", {"alpha": "-400"})
+        result = subprocess.run([sys.executable, "-m", "radtaxis", "verify", "--config", str(cfg)],
+                                env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                                capture_output=True, text=True)
+        assert result.returncode == 1
+        statuses = dict(line.split()[1:3] for line in result.stdout.splitlines())
+        trajectory = ["mass_conservation", "signal_bounds", "boundary_flux_bound", "positivity",
+                      "zero_fixed_point", "trajectory_determinism", "separation_growth"]
+        assert list(statuses)[-len(trajectory):] == trajectory
+        assert [statuses.pop(name) for name in trajectory] == ["fail"] * len(trajectory)
+        assert set(statuses.values()) == {"pass"}
+        assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_ball_whose_inner_cells_underflow_exits_2_before_out_exists(tmp_path, command, capsys):
+    # At n = 120 and 256 cells, r^n underflows in the innermost cells.
+    cfg = edited_default(tmp_path / "n120.cfg", {**CONSTANT_DATA, "n": "120"})
+    out = ["--out", str(tmp_path / "o")] if command == "simulate" else []
+    assert main([command, "--config", str(cfg), *out]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "n = 120" in err and "256 cells" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_ball_of_dimension_100_still_runs(tmp_path):
+    cfg = edited_default(tmp_path / "n100.cfg", {**CONSTANT_DATA, "n": "100", "t_end": "0.0001"})
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_cli_import_loads_no_process_pool():
+    # A sweep forks its workers itself; no command pays for a pool's imports.
+    script = ("import sys, radtaxis.cli; "
+              "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 class TestSweepCommand:

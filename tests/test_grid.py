@@ -54,6 +54,14 @@ def test_geometry_accepts_the_largest_measurable_dimensions(n):
     assert Geometry(n, 1.0).domain_volume == unit_ball_volume(n) > 0.0
 
 
+def test_grid_rejects_cells_that_underflow():
+    # The ball is measurable, but r^n of its inner faces underflows.
+    with pytest.raises(ConfigError, match=r"n = 120 ball .* 256 cells"):
+        RadialGrid(Geometry(120, 1.0), 256)
+    grid = RadialGrid(Geometry(100, 1.0), 256)
+    assert grid.volumes.min() > 0.0 and grid.face_areas[1:].min() > 0.0
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 @pytest.mark.parametrize("cells", [16, 512])
 def test_volume_telescoping(n, cells):

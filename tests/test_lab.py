@@ -1,4 +1,7 @@
 import math
+import os
+import signal
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -274,7 +277,18 @@ def small_plan(**overrides):
     return SweepPlan(**fields)
 
 
+def untimed(rows):
+    return [replace(row, wall_ms=0.0) for row in rows]
+
+
 class TestSweep:
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        """Every worker a sweep forks is reaped before the sweep returns."""
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_plan_sorts_alphas_and_variants(self):
         plan = small_plan()
         assert plan.alphas == (0.0, 0.5)
@@ -312,22 +326,63 @@ class TestSweep:
         assert all(line.endswith(",") for line in lines[1:])
 
     def test_forks_at_most_one_worker_per_case(self, monkeypatch):
-        pool_sizes = []
+        # This process is a worker too, so a sweep forks one fewer than it runs.
+        forks = []
+        fork = os.fork
 
-        class RecordingPool(lab.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                pool_sizes.append(max_workers)
-                super().__init__(max_workers)
+        def counting_fork():
+            forks.append(1)
+            return fork()
 
-        monkeypatch.setattr(lab, "ProcessPoolExecutor", RecordingPool)
-
-        def untimed(plan):
-            return [replace(row, wall_ms=0.0) for row in run_sweep(plan)]
-
+        monkeypatch.setattr(os, "fork", counting_fork)
         one_case = dict(alphas=(0.5,), variants=(small_plan().variants[0],))
-        assert untimed(small_plan(workers=8)) == untimed(small_plan())  # four cases
-        assert untimed(small_plan(workers=8, **one_case)) == untimed(small_plan(**one_case))
-        assert pool_sizes == [4]
+        assert untimed(run_sweep(small_plan(workers=8))) == untimed(run_sweep(small_plan()))  # four cases
+        assert len(forks) == 3
+        assert untimed(run_sweep(small_plan(workers=8, **one_case))) == untimed(run_sweep(small_plan(**one_case)))
+        assert len(forks) == 3
+
+    def test_killed_worker_loses_only_its_case(self, monkeypatch, tmp_path):
+        serial = untimed(run_sweep(small_plan()))
+        parent = os.getpid()
+        killed = tmp_path / "killed"  # holds the key of the case that killed its worker
+        sweep_case = lab._sweep_case
+
+        def kill_the_first_forked_case(case):
+            if os.getpid() == parent:
+                # Hold this process's first case until a forked worker has died.
+                deadline = time.monotonic() + 30.0
+                while not killed.exists() and time.monotonic() < deadline:
+                    time.sleep(0.001)
+            else:
+                try:
+                    fd = os.open(killed, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                except FileExistsError:
+                    return sweep_case(case)
+                os.write(fd, f"{case[0]!r} {case[1]}".encode())
+                os.close(fd)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return sweep_case(case)
+
+        monkeypatch.setattr(lab, "_sweep_case", kill_the_first_forked_case)
+        rows = untimed(run_sweep(small_plan(workers=2)))
+        alpha, data_id = killed.read_text().split()
+        lost = [i for i, row in enumerate(rows) if (row.alpha, row.data_id) == (float(alpha), data_id)]
+        assert len(rows) == len(serial) and len(lost) == 1
+        assert rows[lost[0]].verdict == TOLERANCE_FAILURE
+        assert rows[lost[0]].detail.startswith("worker lost: worker ")
+        assert rows[lost[0]].detail.endswith(f"killed by signal {signal.SIGKILL.value}")
+        assert rows[:lost[0]] + rows[lost[0] + 1:] == serial[:lost[0]] + serial[lost[0] + 1:]
+
+    def test_plan_of_more_tickets_than_a_pipe_holds_finishes(self, monkeypatch):
+        # A Linux pipe holds 64 KiB, so 16,384 four-byte tickets.
+        def trivial(case):
+            return lab.SweepRow(case[0], case[1], BOUNDED, 0.0, 0.0, 0, 0.0, "")
+
+        monkeypatch.setattr(lab, "_sweep_case", trivial)
+        plan = small_plan(alphas=tuple(0.001 * i for i in range(16_400)),
+                          variants=(small_plan().variants[0],), workers=2)
+        rows = run_sweep(plan)
+        assert rows == [trivial(case) for case in plan.cases]
 
     def test_crashing_case_becomes_tolerance_failure_row(self, monkeypatch):
         bad = small_variant("doomed", GaussianBump(mass=1.0, width=0.125))
@@ -337,8 +392,8 @@ class TestSweep:
                 raise ConfigError("doomed case")
             return run_case(config)
 
-        # Forked workers inherit the patch. Two workers run the cases in a
-        # pool, one runs them in-process; the sweep must keep going in both.
+        # Forked workers inherit the patch. Two workers share the cases, one
+        # runs them all in-process; the sweep must keep going in both.
         monkeypatch.setattr(lab, "run_case", run_case_or_crash)
         for workers in (2, 1):
             plan = small_plan(variants=(bad, small_plan().variants[1]), workers=workers)
