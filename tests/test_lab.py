@@ -1,6 +1,8 @@
 import math
 import os
+import select
 import signal
+import struct
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -281,6 +283,10 @@ def untimed(rows):
     return [replace(row, wall_ms=0.0) for row in rows]
 
 
+def trivial_row(case):
+    return lab.SweepRow(case[0], case[1], BOUNDED, 0.0, 0.0, 0, 0.0, "")
+
+
 class TestSweep:
     @pytest.fixture(autouse=True)
     def no_child_left(self):
@@ -375,14 +381,41 @@ class TestSweep:
 
     def test_plan_of_more_tickets_than_a_pipe_holds_finishes(self, monkeypatch):
         # A Linux pipe holds 64 KiB, so 16,384 four-byte tickets.
-        def trivial(case):
-            return lab.SweepRow(case[0], case[1], BOUNDED, 0.0, 0.0, 0, 0.0, "")
-
-        monkeypatch.setattr(lab, "_sweep_case", trivial)
+        monkeypatch.setattr(lab, "_sweep_case", trivial_row)
         plan = small_plan(alphas=tuple(0.001 * i for i in range(16_400)),
                           variants=(small_plan().variants[0],), workers=2)
         rows = run_sweep(plan)
-        assert rows == [trivial(case) for case in plan.cases]
+        assert rows == [trivial_row(case) for case in plan.cases]
+
+    def test_ticket_put_back_behind_the_stops_is_still_run(self, monkeypatch, tmp_path):
+        # The pipe starts with `ahead` tickets, and the worker that takes
+        # ticket i puts back ticket i + ahead. Here the worker that puts back
+        # the last case's ticket stalls until the other worker has taken a
+        # stop ticket, so that case's ticket lands behind the stops.
+        ahead = select.PIPE_BUF // 4
+        plan = small_plan(alphas=tuple(0.001 * i for i in range(ahead + 76)),
+                          variants=(small_plan().variants[0],), workers=2)
+        last = len(plan.cases) - 1
+        write = os.write
+
+        def stalling_write(fd, data):
+            ticket = struct.unpack("=I", data)[0] if len(data) == 4 else None
+            if ticket == last:
+                deadline = time.monotonic() + 30.0
+                while (not any(f.name != f"stopped-{os.getpid()}" for f in tmp_path.iterdir())
+                       and time.monotonic() < deadline):
+                    time.sleep(0.001)
+            written = write(fd, data)
+            if ticket is not None and ticket >= len(plan.cases) + ahead:  # a stop ticket was taken
+                (tmp_path / f"stopped-{os.getpid()}").touch()
+            return written
+
+        # A case's row is its alpha: small enough that the other worker's
+        # unread rows fit in its pipe, so it never waits to send while this
+        # worker stalls.
+        monkeypatch.setattr(lab, "_sweep_case", lambda case: case[0])
+        monkeypatch.setattr(os, "write", stalling_write)
+        assert run_sweep(plan) == list(plan.alphas)
 
     def test_crashing_case_becomes_tolerance_failure_row(self, monkeypatch):
         bad = small_variant("doomed", GaussianBump(mass=1.0, width=0.125))
