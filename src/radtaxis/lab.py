@@ -485,38 +485,26 @@ _TICKET = struct.Struct("=I")
 def _tickets(tickets: tuple[int, int], ahead: int, count: int) -> Iterator[int]:
     """The case indices this worker takes from the shared ticket pipe.
 
-    For each ticket it takes, a worker at once puts back the ticket `ahead`
-    places on. So the pipe never holds more than the `ahead` tickets written
-    at the start, at most PIPE_BUF bytes: no write blocks, and no worker
-    waits on a writer. A ticket at or past `count` means stop; it goes back
-    too, for the next worker to take.
+    The pipe starts with tickets 0 to `ahead - 1` and its read end does not
+    block. For each ticket it takes, a worker at once puts back the one
+    `ahead` places on while that is still a case, so the pipe never holds
+    more than PIPE_BUF bytes and no write blocks. A worker stops once the
+    pipe is empty. That leaves no ticket behind: a worker that puts one back
+    reads again once its case is done. A worker killed between taking a
+    ticket and putting back the next loses that case's later tickets, which
+    come back as `worker lost:` rows. With `ahead` or more workers, one may
+    stop on a pipe that is only momentarily empty: that costs parallelism,
+    not cases.
     """
     take, give = tickets
     while True:
-        (index,) = _TICKET.unpack(os.read(take, _TICKET.size))
-        os.write(give, _TICKET.pack(index + ahead))
-        if index >= count:
+        try:
+            (index,) = _TICKET.unpack(os.read(take, _TICKET.size))
+        except BlockingIOError:
             return
+        if index + ahead < count:
+            os.write(give, _TICKET.pack(index + ahead))
         yield index
-
-
-def _stranded(take: int, ahead: int, count: int) -> Iterator[int]:
-    """The case indices no worker took, read once every worker has stopped.
-
-    Taking a ticket and putting back the next are two calls, so a worker
-    that stalls between them can put a case's ticket behind stop tickets,
-    where every other worker stops first. Each case ticket left in the pipe
-    is yielded with the tickets it would have put back.
-    """
-    os.set_blocking(take, False)
-    left = bytearray()
-    try:
-        while True:
-            left += os.read(take, select.PIPE_BUF)
-    except BlockingIOError:
-        pass  # the pipe is empty; this process holds its write end, so it never ends
-    for (index,) in _TICKET.iter_unpack(left):
-        yield from range(index, count, ahead)
 
 
 def _run_cases(cases: Sequence[tuple[float, str, RunConfig]],
@@ -571,17 +559,19 @@ def run_sweep(plan: SweepPlan) -> list[SweepRow]:
 
     This process is one worker and forks `min(workers, cases) - 1` more, so
     `workers = 1` forks none. Every worker takes the next case from one
-    shared pipe of tickets, one case at a time. Output is keyed by case,
-    never by completion order, so the table is identical for any worker
-    count. A crashing case becomes a tolerance_failure row naming the
-    exception, and a case whose worker died one naming the worker's exit
-    status; the sweep continues either way. Needs `os.fork`, so POSIX only.
+    shared pipe of tickets, one case at a time, and stops once the pipe is
+    empty. Output is keyed by case, never by completion order, so the table
+    is identical for any worker count. A crashing case becomes a
+    tolerance_failure row naming the exception, and a case whose worker died
+    one naming the worker's exit status; the sweep continues either way.
+    Needs `os.fork`, so POSIX only.
     """
     cases = plan.cases
     rows: list[SweepRow | None] = [None] * len(cases)
     ahead = min(len(cases), select.PIPE_BUF // _TICKET.size)
     tickets = os.pipe()
     os.write(tickets[1], b"".join(_TICKET.pack(index) for index in range(ahead)))
+    os.set_blocking(tickets[0], False)  # before the forks, so every worker stops on an empty pipe
     children: dict[int, int] = {}  # pid -> read end of its row pipe
     statuses: dict[int, int] = {}
     try:
@@ -596,8 +586,6 @@ def run_sweep(plan: SweepPlan) -> list[SweepRow]:
                 for index, row in _unpickle_rows(stream):
                     rows[index] = row
             statuses[pid] = os.waitpid(pid, 0)[1]
-        for index, row in _run_cases(cases, _stranded(tickets[0], ahead, len(cases))):
-            rows[index] = row
     finally:
         for pid in children.keys() - statuses.keys():  # this process is raising: end its workers
             os.kill(pid, signal.SIGKILL)

@@ -290,10 +290,13 @@ def trivial_row(case):
 class TestSweep:
     @pytest.fixture(autouse=True)
     def no_child_left(self):
-        """Every worker a sweep forks is reaped before the sweep returns."""
+        """Every worker a sweep forks is reaped, and every pipe it opens is
+        closed, before the sweep returns."""
+        open_fds = set(os.listdir("/proc/self/fd"))
         yield
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+        assert set(os.listdir("/proc/self/fd")) == open_fds
 
     def test_plan_sorts_alphas_and_variants(self):
         plan = small_plan()
@@ -387,35 +390,42 @@ class TestSweep:
         rows = run_sweep(plan)
         assert rows == [trivial_row(case) for case in plan.cases]
 
-    def test_ticket_put_back_behind_the_stops_is_still_run(self, monkeypatch, tmp_path):
+    def test_ticket_put_back_after_the_pipe_ran_empty_is_still_run(self, monkeypatch, tmp_path):
         # The pipe starts with `ahead` tickets, and the worker that takes
-        # ticket i puts back ticket i + ahead. Here the worker that puts back
-        # the last case's ticket stalls until the other worker has taken a
-        # stop ticket, so that case's ticket lands behind the stops.
+        # ticket i puts back ticket i + ahead while that is a case. Here the
+        # worker that puts back the last case's ticket stalls until the other
+        # worker has found the pipe empty and stopped, so it must run that
+        # case itself.
         ahead = select.PIPE_BUF // 4
         plan = small_plan(alphas=tuple(0.001 * i for i in range(ahead + 76)),
                           variants=(small_plan().variants[0],), workers=2)
         last = len(plan.cases) - 1
-        write = os.write
+        read, write = os.read, os.write
+
+        def marking_read(fd, size):
+            try:
+                return read(fd, size)
+            except BlockingIOError:
+                (tmp_path / f"empty-{os.getpid()}").touch()
+                raise
 
         def stalling_write(fd, data):
-            ticket = struct.unpack("=I", data)[0] if len(data) == 4 else None
-            if ticket == last:
-                deadline = time.monotonic() + 30.0
-                while (not any(f.name != f"stopped-{os.getpid()}" for f in tmp_path.iterdir())
-                       and time.monotonic() < deadline):
+            if len(data) == 4 and struct.unpack("=I", data)[0] == last:
+                deadline = time.monotonic() + 10.0
+                while not [f for f in tmp_path.glob("empty-*") if f.name != f"empty-{os.getpid()}"]:
+                    assert time.monotonic() < deadline, "no other worker found the ticket pipe empty"
                     time.sleep(0.001)
-            written = write(fd, data)
-            if ticket is not None and ticket >= len(plan.cases) + ahead:  # a stop ticket was taken
-                (tmp_path / f"stopped-{os.getpid()}").touch()
-            return written
+                (tmp_path / "stalled").touch()
+            return write(fd, data)
 
         # A case's row is its alpha: small enough that the other worker's
         # unread rows fit in its pipe, so it never waits to send while this
         # worker stalls.
         monkeypatch.setattr(lab, "_sweep_case", lambda case: case[0])
+        monkeypatch.setattr(os, "read", marking_read)
         monkeypatch.setattr(os, "write", stalling_write)
         assert run_sweep(plan) == list(plan.alphas)
+        assert (tmp_path / "stalled").exists()
 
     def test_crashing_case_becomes_tolerance_failure_row(self, monkeypatch):
         bad = small_variant("doomed", GaussianBump(mass=1.0, width=0.125))
