@@ -7,6 +7,7 @@ stdout only.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -46,7 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run an alpha sweep plan")
     p_sweep.add_argument("--plan", required=True, help="sweep plan file")
     p_sweep.add_argument("--out", required=True, help="output directory")
-    p_sweep.add_argument("--workers", type=int, default=None, help="worker count (overrides the plan)")
+    p_sweep.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                         help="worker count (default: the CPU count, capped at the case count)")
 
     p_verify = sub.add_parser("verify", help="run the invariant verification suite")
     p_verify.add_argument("--config", required=True, help="run config file")
@@ -80,10 +82,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    plan = parse_plan(args.plan, workers=args.workers)
+    cases = parse_plan(args.plan)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = run_sweep(plan)
+    rows = run_sweep(cases, args.workers)
     write_sweep_csv(rows, out_dir / "sweep.csv")
     write_sweep_timings(rows, out_dir / "sweep_timings.csv")
     for row in rows:

@@ -16,7 +16,7 @@ import select
 import signal
 import struct
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import BinaryIO, Iterator, Sequence
 
@@ -30,7 +30,6 @@ from .model import (
     ConstantData,
     RunConfig,
     _parse_floats,
-    _parse_int,
     config_to_text,
     initial_profile,
     load_config,
@@ -413,41 +412,6 @@ def verify_suite(config: RunConfig) -> list[CheckResult]:
 
 
 @dataclass(frozen=True)
-class SweepVariant:
-    data_id: str
-    config: RunConfig
-
-
-@dataclass(frozen=True)
-class SweepPlan:
-    """Alpha x variant cross product; `cases` holds each (alpha, data_id, config)."""
-
-    alphas: tuple[float, ...]
-    variants: tuple[SweepVariant, ...]
-    workers: int = 1
-    cases: tuple[tuple[float, str, RunConfig], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not self.alphas:
-            raise ConfigError("sweep plan needs at least one alpha")
-        object.__setattr__(self, "alphas", tuple(sorted(float(a) for a in self.alphas)))
-        if len(set(self.alphas)) != len(self.alphas):
-            raise ConfigError(f"sweep alphas must be distinct, got {self.alphas!r}")
-        if not self.variants:
-            raise ConfigError("sweep plan needs at least one data variant")
-        ids = [v.data_id for v in self.variants]
-        if len(set(ids)) != len(ids):
-            raise ConfigError("sweep variant ids must be unique")
-        object.__setattr__(self, "variants", tuple(sorted(self.variants, key=lambda v: v.data_id)))
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        # Built here, so every case config is validated before any case runs.
-        object.__setattr__(self, "cases", tuple(
-            (a, v.data_id, replace(v.config, diffusion=replace(v.config.diffusion, alpha=a)))
-            for a in self.alphas for v in self.variants))
-
-
-@dataclass(frozen=True)
 class SweepRow:
     alpha: float
     data_id: str
@@ -525,7 +489,12 @@ def _fork_worker(cases: Sequence[tuple[float, str, RunConfig]], tickets: tuple[i
     its own pipe; return its pid and the pipe's read end. The worker leaves
     through `os._exit`, so atexit handlers and stdio buffers run only here."""
     read_end, write_end = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
     if pid == 0:
         status = 1
         try:
@@ -554,19 +523,20 @@ def _exit_text(pid: int, status: int) -> str:
     return f"worker {pid} killed by signal {-code}" if code < 0 else f"worker {pid} exited with status {code}"
 
 
-def run_sweep(plan: SweepPlan) -> list[SweepRow]:
-    """Run the alpha x data cross product; rows sorted by (alpha, data_id).
+def run_sweep(cases: Sequence[tuple[float, str, RunConfig]], workers: int) -> list[SweepRow]:
+    """Run each (alpha, data_id, config) case; one row per case, in case order.
 
     This process is one worker and forks `min(workers, cases) - 1` more, so
-    `workers = 1` forks none. Every worker takes the next case from one
-    shared pipe of tickets, one case at a time, and stops once the pipe is
-    empty. Output is keyed by case, never by completion order, so the table
-    is identical for any worker count. A crashing case becomes a
-    tolerance_failure row naming the exception, and a case whose worker died
-    one naming the worker's exit status; the sweep continues either way.
-    Needs `os.fork`, so POSIX only.
+    `workers = 1` forks none; `workers < 1` is a ConfigError. Every worker
+    takes the next case from one shared pipe of tickets, one case at a time,
+    and stops once the pipe is empty. Output is keyed by case, never by
+    completion order, so the table is identical for any worker count. A
+    crashing case becomes a tolerance_failure row naming the exception, and
+    a case whose worker died one naming the worker's exit status; the sweep
+    continues either way. Needs `os.fork`, so POSIX only.
     """
-    cases = plan.cases
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     rows: list[SweepRow | None] = [None] * len(cases)
     ahead = min(len(cases), select.PIPE_BUF // _TICKET.size)
     tickets = os.pipe()
@@ -575,7 +545,7 @@ def run_sweep(plan: SweepPlan) -> list[SweepRow]:
     children: dict[int, int] = {}  # pid -> read end of its row pipe
     statuses: dict[int, int] = {}
     try:
-        for _ in range(min(plan.workers, len(cases)) - 1):
+        for _ in range(min(workers, len(cases)) - 1):
             pid, read_end = _fork_worker(cases, tickets, ahead)
             children[pid] = read_end
         for index, row in _run_cases(cases, _tickets(tickets, ahead, len(cases))):
@@ -613,31 +583,35 @@ def write_sweep_timings(rows: Sequence[SweepRow], path: str | Path) -> None:
 
 # Run-control keys that a plan or a variant may set over the base config.
 _OVERRIDE_KEYS = ("t_end", "u_max_threshold", "output_stride", "scheme")
-_PLAN_KEYS = frozenset(["base", "alphas", "workers", "variant", *_OVERRIDE_KEYS])
+_PLAN_KEYS = frozenset(["base", "alphas", "variant", *_OVERRIDE_KEYS])
 
 
-def parse_plan(path: str | Path, workers: int | None = None) -> SweepPlan:
-    """Parse a sweep plan file.
+def parse_plan(path: str | Path) -> tuple[tuple[float, str, RunConfig], ...]:
+    """Parse a sweep plan file into its (alpha, data_id, config) cases,
+    sorted by alpha, then by data_id.
 
-    The config syntax (base, alphas, workers, and the override keys t_end,
+    The config syntax (base, alphas, and the override keys t_end,
     u_max_threshold, output_stride, scheme) plus one
     `variant = <id> <kind> key=value...` line per data variant; the base
     path is resolved relative to the plan file. A variant's override keys
-    win over the plan's, which win over the base config's. `workers`, when
-    given, wins over the plan's worker count; passing it here builds the
-    cases once.
+    win over the plan's, which win over the base config's. Every case config
+    is built here, so each is checked before any case runs.
     """
     path = Path(path)
     source = str(path)
     entries = parse_flat_keys(path.read_text(encoding="utf-8"), source, _PLAN_KEYS,
                               ("base", "alphas", "variant"), repeatable={"variant"})
     base = _override(load_config((path.parent / entries["base"]).resolve()), entries, source)
-    planned = _parse_int(entries, "workers", source) if "workers" in entries else 1
-    return SweepPlan(
-        alphas=_parse_floats(entries, "alphas", source),
-        variants=tuple(_parse_variant(line, base, source) for line in entries["variant"]),
-        workers=planned if workers is None else workers,
-    )
+    alphas = tuple(sorted(_parse_floats(entries, "alphas", source)))
+    if not alphas:
+        raise ConfigError("sweep plan needs at least one alpha")
+    if len(set(alphas)) != len(alphas):
+        raise ConfigError(f"sweep alphas must be distinct, got {alphas!r}")
+    variants = dict(_parse_variant(line, base, source) for line in entries["variant"])
+    if len(variants) != len(entries["variant"]):
+        raise ConfigError("sweep variant ids must be unique")
+    return tuple((alpha, data_id, replace(config, diffusion=replace(config.diffusion, alpha=alpha)))
+                 for alpha in alphas for data_id, config in sorted(variants.items()))
 
 
 def _override(config: RunConfig, entries: dict[str, str], source: str, **changes) -> RunConfig:
@@ -645,7 +619,7 @@ def _override(config: RunConfig, entries: dict[str, str], source: str, **changes
     return replace(config, **changes, **parse_run_keys(entries, source, _OVERRIDE_KEYS))
 
 
-def _parse_variant(line: str, base: RunConfig, source: str) -> SweepVariant:
+def _parse_variant(line: str, base: RunConfig, source: str) -> tuple[str, RunConfig]:
     """`<id> <kind> key=value...`: a token `mass=2` is the config key `initial.mass`."""
     tokens = line.split()
     if len(tokens) < 2:
@@ -666,7 +640,7 @@ def _parse_variant(line: str, base: RunConfig, source: str) -> SweepVariant:
         entries[key] = value
     config = _override(base, entries, source, initial=parse_initial(entries, source))
     initial_profile(config)  # the variant's data on the base grid, checked once for every alpha
-    return SweepVariant(data_id, config)
+    return data_id, config
 
 
 # ---------------------------------------------------------------------------

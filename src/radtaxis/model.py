@@ -278,18 +278,18 @@ def _parse_text(entries: dict[str, str], key: str, source: str) -> str:
     return entries[key]
 
 
-# Run-control keys: config key -> (RunConfig field, parser), in parse order.
-# A config and a sweep plan's overrides both read these keys through
+# Run-control keys: config key -> (RunConfig field, parser), in config_to_text's
+# order. A config and a sweep plan's overrides both read these keys through
 # parse_run_keys; a key left unset takes the field's default on RunConfig.
 _RUN_KEYS = {
     "cells": ("cells", _parse_int),
     "t_end": ("t_end", _parse_float),
     "cfl_safety": ("cfl_safety", _parse_float),
+    "scheme": ("scheme", _parse_text),
     "u_max_threshold": ("u_max_threshold", _parse_float),
     "dt_min": ("dt_min", _parse_float),
     "output_stride": ("output_stride", _parse_int),
     "lp": ("lp_exponents", _parse_floats),
-    "scheme": ("scheme", _parse_text),
 }
 # Flat config-file vocabulary; anything else is a hard error.
 _CONFIG_KEYS = frozenset(["n", "R", "alpha", "kappa", "M", "initial.kind",
@@ -322,9 +322,11 @@ def parse_initial(entries: dict[str, str], source: str) -> InitialData:
     return _KINDS[kind](*(_parse_float(entries, k, source) for k in keys))
 
 
-def parse_config(text: str, source: str = "<config>") -> RunConfig:
-    """Parse the flat key=value run-config format."""
-    entries = parse_flat_keys(text, source, _CONFIG_KEYS, _REQUIRED_KEYS)
+def load_config(path: str | Path) -> RunConfig:
+    """Read a run-config file in the flat key=value format."""
+    path = Path(path)
+    source = str(path)
+    entries = parse_flat_keys(path.read_text(encoding="utf-8"), source, _CONFIG_KEYS, _REQUIRED_KEYS)
     config = RunConfig(
         geometry=Geometry(n=_parse_int(entries, "n", source), R=_parse_float(entries, "R", source)),
         diffusion=DiffusionLaw(
@@ -339,15 +341,11 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
     return config
 
 
-def load_config(path: str | Path) -> RunConfig:
-    path = Path(path)
-    return parse_config(path.read_text(encoding="utf-8"), source=str(path))
-
-
 def config_to_text(config: RunConfig) -> str:
     """Serialize a RunConfig back to the flat key=value format (canonical order).
 
-    `scheme` is written only when it is not the default explicit one.
+    Run keys left unset, an empty `lp` and the default explicit `scheme` are
+    not written.
     """
     lines = [
         f"n = {config.geometry.n}",
@@ -359,16 +357,10 @@ def config_to_text(config: RunConfig) -> str:
     initial = config.initial
     lines.append("initial.kind = " + next(k for k, kind in _KINDS.items() if type(initial) is kind))
     lines += [f"{key} = {value!r}" for key, value in zip(_initial_keys(type(initial)), astuple(initial))]
-    lines.append(f"cells = {config.cells}")
-    lines.append(f"t_end = {config.t_end!r}")
-    lines.append(f"cfl_safety = {config.cfl_safety!r}")
-    if config.scheme != "explicit":
-        lines.append(f"scheme = {config.scheme}")
-    if config.u_max_threshold is not None:
-        lines.append(f"u_max_threshold = {config.u_max_threshold!r}")
-    if config.dt_min is not None:
-        lines.append(f"dt_min = {config.dt_min!r}")
-    lines.append(f"output_stride = {config.output_stride}")
-    if config.lp_exponents:
-        lines.append("lp = " + ", ".join(repr(p) for p in config.lp_exponents))
+    for key, (name, _) in _RUN_KEYS.items():
+        value = getattr(config, name)
+        if isinstance(value, tuple):
+            value = ", ".join(repr(p) for p in value)
+        if value not in (None, "", "explicit"):  # unset, no lp exponents, the default scheme
+            lines.append(f"{key} = {value if isinstance(value, str) else repr(value)}")
     return "\n".join(lines) + "\n"

@@ -185,8 +185,7 @@ def test_criterion_9_subcritical_sweep_bounded():
     start = time.perf_counter()
     rows = []
     for plan_name in ("sweep_subcritical_n2.plan", "sweep_subcritical_n3.plan"):
-        plan = parse_plan(CONFIG_DIR / plan_name)
-        rows.extend(run_sweep(plan))
+        rows.extend(run_sweep(parse_plan(CONFIG_DIR / plan_name), 2))
     wall = time.perf_counter() - start
     bounded = sum(row.verdict == BOUNDED for row in rows)
     emit(9, "subcritical_boundedness",
@@ -210,21 +209,14 @@ def test_criterion_11_sweep_worker_determinism(tmp_path):
     base = load_config(CONFIG_DIR / "default.cfg")
     from dataclasses import replace
 
-    from radtaxis.lab import SweepPlan, SweepVariant
-
     quick_base = replace(base, cells=64, t_end=2e-3, output_stride=20)
-    bump = GaussianBump(mass=2.0, width=0.25, center=0.0)
+    data = {"bump": GaussianBump(mass=2.0, width=0.25, center=0.0), "flat": ConstantData(mass=0.5 * math.pi)}
+    cases = [(alpha, data_id, replace(quick_base, initial=initial,
+                                      diffusion=replace(quick_base.diffusion, alpha=alpha)))
+             for alpha in (0.25, 0.75) for data_id, initial in data.items()]
     tables = []
     for workers in (1, 2, 8):
-        plan = SweepPlan(
-            alphas=(0.25, 0.75),
-            variants=(
-                SweepVariant("bump", replace(quick_base, initial=bump)),
-                SweepVariant("flat", replace(quick_base, initial=ConstantData(mass=0.5 * math.pi))),
-            ),
-            workers=workers,
-        )
-        write_sweep_csv(run_sweep(plan), tmp_path / "sweep.csv")
+        write_sweep_csv(run_sweep(cases, workers), tmp_path / "sweep.csv")
         tables.append((tmp_path / "sweep.csv").read_bytes())
     emit(11, "sweep_worker_determinism",
          tables[0] == tables[1] == tables[2],

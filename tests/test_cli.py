@@ -277,10 +277,12 @@ class TestSweepCommand:
             assert (out / "sweep_timings.csv").exists()
         assert outputs[0] == outputs[1]
 
-    def test_workers_flag_does_not_rebuild_the_cases(self, tmp_path, config_path, grid_builds):
+    def test_workers_flag_does_not_rebuild_the_cases(self, tmp_path, config_path, grid_builds, monkeypatch):
         # Reading the config and the variant builds one grid each to check the
         # data, and each run builds its own. One worker keeps every run
-        # in-process, where every build is counted.
+        # in-process, where every build is counted; one CPU makes one worker
+        # the default too.
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
         plan = tmp_path / "sweep.plan"
         plan.write_text(
             f"base = {config_path.name}\n"
@@ -294,6 +296,23 @@ class TestSweepCommand:
             assert main(argv + flags) == 0
             counts.append(len(grid_builds))
         assert counts == [2 + 2, 2 + 2]
+
+    @pytest.mark.parametrize("cpus,forks", [(3, 2), (None, 0)])
+    def test_default_worker_count_is_the_cpu_count(self, tmp_path, config_path, monkeypatch, cpus, forks):
+        # This process is a worker too, so a sweep forks one fewer than it runs.
+        plan = tmp_path / "sweep.plan"
+        plan.write_text(
+            f"base = {config_path.name}\n"
+            "alphas = 0.0, 0.5\n"
+            "variant = bump gaussian mass=2 width=0.25 center=0.0\n"
+            "variant = flat constant mass=1\n"
+        )
+        forked = []
+        fork = os.fork
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
+        assert main(["sweep", "--plan", str(plan), "--out", str(tmp_path / "out")]) == 0
+        assert len(forked) == forks
 
 
 class TestPlot:

@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import select
@@ -20,8 +21,6 @@ from radtaxis.lab import (
     INCONCLUSIVE,
     TOLERANCE_FAILURE,
     OnlineChecker,
-    SweepPlan,
-    SweepVariant,
     paired_separation,
     parse_plan,
     report_lines,
@@ -37,6 +36,7 @@ from radtaxis.model import (
     DiffusionLaw,
     GaussianBump,
     RunConfig,
+    config_to_text,
     load_config,
 )
 from radtaxis.stepper import SimState, StepStatus, face_flux, initial_state, make_record
@@ -262,21 +262,23 @@ class TestVerifySuite:
         assert parts[4].startswith("tol=")
 
 
-def small_variant(data_id, initial):
-    return SweepVariant(data_id, make_config(initial=initial, cells=32, t_end=5e-4, output_stride=10))
+BUMP = GaussianBump(mass=2.0, width=0.25, center=0.0)
 
 
-def small_plan(**overrides):
-    fields = dict(
-        alphas=(0.5, 0.0),
-        variants=(
-            small_variant("bump", GaussianBump(mass=2.0, width=0.25, center=0.0)),
-            small_variant("flat", ConstantData(mass=0.5 * math.pi)),  # level 0.5
-        ),
-        workers=1,
-    )
-    fields.update(overrides)
-    return SweepPlan(**fields)
+def small_plan(alphas=(0.0, 0.5), **variants):
+    """The cases, in plan order, of a plan over `alphas` and the variants
+    given as data_id=initial data; by default a bump and a flat level."""
+    variants = variants or {"bump": BUMP, "flat": ConstantData(mass=0.5 * math.pi)}  # level 0.5
+    return tuple((alpha, data_id, make_config(diffusion=DiffusionLaw(alpha=alpha, kappa=1.0), initial=initial,
+                                              cells=32, t_end=5e-4, output_stride=10))
+                 for alpha in sorted(alphas) for data_id, initial in sorted(variants.items()))
+
+
+def plan_file(tmp_path, *lines):
+    """A plan file of `lines` over a base config written next to it."""
+    (tmp_path / "base.cfg").write_text(config_to_text(make_config()))
+    (tmp_path / "p.plan").write_text("\n".join(["base = base.cfg", *lines, ""]))
+    return tmp_path / "p.plan"
 
 
 def untimed(rows):
@@ -298,16 +300,17 @@ class TestSweep:
             os.waitpid(-1, os.WNOHANG)
         assert set(os.listdir("/proc/self/fd")) == open_fds
 
-    def test_plan_sorts_alphas_and_variants(self):
-        plan = small_plan()
-        assert plan.alphas == (0.0, 0.5)
-        assert [v.data_id for v in plan.variants] == ["bump", "flat"]
+    def test_plan_sorts_alphas_and_variants(self, tmp_path):
+        cases = parse_plan(plan_file(tmp_path, "alphas = 0.5, 0.0", "variant = flat constant mass=1",
+                                     "variant = bump gaussian mass=2 width=0.25 center=0.0"))
+        assert [(alpha, data_id) for alpha, data_id, _ in cases] == [
+            (0.0, "bump"), (0.0, "flat"), (0.5, "bump"), (0.5, "flat")]
 
     def test_single_case_matches_run_case(self):
-        plan = small_plan(alphas=(0.5,), variants=(small_plan().variants[0],))
-        rows = run_sweep(plan)
+        cases = small_plan(alphas=(0.5,), bump=BUMP)
+        rows = run_sweep(cases, 1)
         assert len(rows) == 1
-        alpha, data_id, config = plan.cases[0]
+        alpha, data_id, config = cases[0]
         assert (alpha, data_id, config.diffusion.alpha) == (0.5, "bump", 0.5)
         report = run_case(config)
         row = rows[0]
@@ -316,20 +319,23 @@ class TestSweep:
         assert row.terminal_t == report.terminal_t
         assert row.steps == report.steps
 
-    def test_rows_sorted_by_alpha_then_id(self):
-        rows = run_sweep(small_plan())
+    def test_rows_sorted_by_alpha_then_id(self, tmp_path):
+        cases = parse_plan(plan_file(tmp_path, "alphas = 0.5, 0.0", "t_end = 5e-4",
+                                     "variant = flat constant mass=1",
+                                     "variant = bump gaussian mass=2 width=0.25 center=0.0"))
+        rows = run_sweep(cases, 2)
         keys = [(row.alpha, row.data_id) for row in rows]
         assert keys == sorted(keys)
 
     def test_worker_counts_agree_to_the_byte(self, tmp_path):
         tables = []
         for workers in (1, 2):
-            write_sweep_csv(run_sweep(small_plan(workers=workers)), tmp_path / "sweep.csv")
+            write_sweep_csv(run_sweep(small_plan(), workers), tmp_path / "sweep.csv")
             tables.append((tmp_path / "sweep.csv").read_bytes())
         assert tables[0] == tables[1]
 
     def test_wall_ms_column_is_empty_for_reproducibility(self, tmp_path):
-        write_sweep_csv(run_sweep(small_plan(alphas=(0.5,))), tmp_path / "sweep.csv")
+        write_sweep_csv(run_sweep(small_plan(alphas=(0.5,)), 1), tmp_path / "sweep.csv")
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[0] == "alpha,data_id,verdict,peak_linf,terminal_t,steps,wall_ms"
         assert all(line.endswith(",") for line in lines[1:])
@@ -344,14 +350,24 @@ class TestSweep:
             return fork()
 
         monkeypatch.setattr(os, "fork", counting_fork)
-        one_case = dict(alphas=(0.5,), variants=(small_plan().variants[0],))
-        assert untimed(run_sweep(small_plan(workers=8))) == untimed(run_sweep(small_plan()))  # four cases
+        one_case = small_plan(alphas=(0.5,), bump=BUMP)
+        assert untimed(run_sweep(small_plan(), 8)) == untimed(run_sweep(small_plan(), 1))  # four cases
         assert len(forks) == 3
-        assert untimed(run_sweep(small_plan(workers=8, **one_case))) == untimed(run_sweep(small_plan(**one_case)))
+        assert untimed(run_sweep(one_case, 8)) == untimed(run_sweep(one_case, 1))
         assert len(forks) == 3
 
+    def test_failed_fork_leaks_no_pipe(self, monkeypatch):
+        # The autouse fixture checks that the row pipe made for the worker
+        # that could not be forked is closed, and the ticket pipe with it.
+        def failing_fork():
+            raise OSError(errno.EAGAIN, "no process to spare")
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        with pytest.raises(OSError, match="no process to spare"):
+            run_sweep(small_plan(), 2)
+
     def test_killed_worker_loses_only_its_case(self, monkeypatch, tmp_path):
-        serial = untimed(run_sweep(small_plan()))
+        serial = untimed(run_sweep(small_plan(), 1))
         parent = os.getpid()
         killed = tmp_path / "killed"  # holds the key of the case that killed its worker
         sweep_case = lab._sweep_case
@@ -373,7 +389,7 @@ class TestSweep:
             return sweep_case(case)
 
         monkeypatch.setattr(lab, "_sweep_case", kill_the_first_forked_case)
-        rows = untimed(run_sweep(small_plan(workers=2)))
+        rows = untimed(run_sweep(small_plan(), 2))
         alpha, data_id = killed.read_text().split()
         lost = [i for i, row in enumerate(rows) if (row.alpha, row.data_id) == (float(alpha), data_id)]
         assert len(rows) == len(serial) and len(lost) == 1
@@ -385,10 +401,8 @@ class TestSweep:
     def test_plan_of_more_tickets_than_a_pipe_holds_finishes(self, monkeypatch):
         # A Linux pipe holds 64 KiB, so 16,384 four-byte tickets.
         monkeypatch.setattr(lab, "_sweep_case", trivial_row)
-        plan = small_plan(alphas=tuple(0.001 * i for i in range(16_400)),
-                          variants=(small_plan().variants[0],), workers=2)
-        rows = run_sweep(plan)
-        assert rows == [trivial_row(case) for case in plan.cases]
+        cases = small_plan(alphas=tuple(0.001 * i for i in range(16_400)), bump=BUMP)
+        assert run_sweep(cases, 2) == [trivial_row(case) for case in cases]
 
     def test_ticket_put_back_after_the_pipe_ran_empty_is_still_run(self, monkeypatch, tmp_path):
         # The pipe starts with `ahead` tickets, and the worker that takes
@@ -397,9 +411,8 @@ class TestSweep:
         # worker has found the pipe empty and stopped, so it must run that
         # case itself.
         ahead = select.PIPE_BUF // 4
-        plan = small_plan(alphas=tuple(0.001 * i for i in range(ahead + 76)),
-                          variants=(small_plan().variants[0],), workers=2)
-        last = len(plan.cases) - 1
+        cases = small_plan(alphas=tuple(0.001 * i for i in range(ahead + 76)), bump=BUMP)
+        last = len(cases) - 1
         read, write = os.read, os.write
 
         def marking_read(fd, size):
@@ -424,14 +437,14 @@ class TestSweep:
         monkeypatch.setattr(lab, "_sweep_case", lambda case: case[0])
         monkeypatch.setattr(os, "read", marking_read)
         monkeypatch.setattr(os, "write", stalling_write)
-        assert run_sweep(plan) == list(plan.alphas)
+        assert run_sweep(cases, 2) == [alpha for alpha, _, _ in cases]
         assert (tmp_path / "stalled").exists()
 
     def test_crashing_case_becomes_tolerance_failure_row(self, monkeypatch):
-        bad = small_variant("doomed", GaussianBump(mass=1.0, width=0.125))
+        bad = GaussianBump(mass=1.0, width=0.125)
 
         def run_case_or_crash(config):
-            if config.initial == bad.config.initial:
+            if config.initial == bad:
                 raise ConfigError("doomed case")
             return run_case(config)
 
@@ -439,8 +452,7 @@ class TestSweep:
         # runs them all in-process; the sweep must keep going in both.
         monkeypatch.setattr(lab, "run_case", run_case_or_crash)
         for workers in (2, 1):
-            plan = small_plan(variants=(bad, small_plan().variants[1]), workers=workers)
-            rows = run_sweep(plan)
+            rows = run_sweep(small_plan(doomed=bad, flat=ConstantData(mass=0.5 * math.pi)), workers)
             assert len(rows) == 4
             doomed = [r for r in rows if r.data_id == "doomed"]
             assert all(r.verdict == TOLERANCE_FAILURE for r in doomed)
@@ -449,20 +461,20 @@ class TestSweep:
             others = [r for r in rows if r.data_id == "flat"]
             assert all(r.verdict != TOLERANCE_FAILURE for r in others)
 
-    def test_plan_needs_a_variant(self):
-        # a plan file without a variant line already fails as a missing key
-        with pytest.raises(ConfigError, match="at least one data variant"):
-            small_plan(variants=())
+    def test_plan_needs_a_variant(self, tmp_path):
+        with pytest.raises(ConfigError, match="missing required key 'variant'"):
+            parse_plan(plan_file(tmp_path, "alphas = 0.5"))
 
-    def test_case_config_overrides(self):
-        # each case is its variant's config at the case's alpha, nothing else
-        plan = small_plan()
-        keys = [(alpha, data_id) for alpha, data_id, _ in plan.cases]
-        assert keys == [(0.0, "bump"), (0.0, "flat"), (0.5, "bump"), (0.5, "flat")]
-        variants = {v.data_id: v.config for v in plan.variants}
-        for alpha, data_id, config in plan.cases:
-            variant = variants[data_id]
-            assert config == replace(variant, diffusion=replace(variant.diffusion, alpha=alpha))
+    def test_case_config_overrides(self, tmp_path):
+        # each case is the base config with its variant's data at the case's alpha, nothing else
+        base = make_config()
+        data = {"bump": BUMP, "flat": ConstantData(mass=1.0)}
+        cases = parse_plan(plan_file(tmp_path, "alphas = 0.5, 0.0", "variant = flat constant mass=1",
+                                     "variant = bump gaussian mass=2 width=0.25 center=0.0"))
+        assert len(cases) == 4
+        for alpha, data_id, config in cases:
+            at_alpha = replace(base.diffusion, alpha=alpha)
+            assert config == replace(base, initial=data[data_id], diffusion=at_alpha)
 
 
 class TestPlanParsing:
@@ -473,24 +485,20 @@ class TestPlanParsing:
         plan_text = "\n".join([
             "base = base.cfg",
             "alphas = 0.9, 0.1",
-            "workers = 3",
             "t_end = 0.125",
             "variant = bump gaussian mass=2 width=0.25 center=0.0",
             "variant = ring annulus mass=1 r_lo=0.2 r_hi=0.6 u_max_threshold=50",
             "variant = level constant mass=3.0",
         ])
         (tmp_path / "sweep.plan").write_text(plan_text)
-        plan = parse_plan(tmp_path / "sweep.plan")
-        assert plan.alphas == (0.1, 0.9)
-        assert plan.workers == 3
-        ids = [v.data_id for v in plan.variants]
-        assert ids == ["bump", "level", "ring"]
-        assert all(v.config.t_end == 0.125 for v in plan.variants)
-        ring = plan.variants[ids.index("ring")]
-        assert ring.config.u_max_threshold == 50.0
-        level = plan.variants[ids.index("level")].config
-        assert level.initial == ConstantData(mass=3.0)
-        assert len(plan.cases) == 6
+        cases = parse_plan(tmp_path / "sweep.plan")
+        assert [(alpha, data_id) for alpha, data_id, _ in cases] == [
+            (alpha, data_id) for alpha in (0.1, 0.9) for data_id in ("bump", "level", "ring")]
+        configs = {data_id: config for _, data_id, config in cases}
+        assert all(config.t_end == 0.125 for _, _, config in cases)
+        assert configs["ring"].u_max_threshold == 50.0
+        assert configs["bump"].u_max_threshold is configs["level"].u_max_threshold is None
+        assert configs["level"].initial == ConstantData(mass=3.0)
 
     def test_unknown_plan_key(self, tmp_path):
         from radtaxis.model import config_to_text
@@ -528,7 +536,7 @@ class TestPlanParsing:
         with pytest.raises(ConfigError, match="width"):
             parse_plan(tmp_path / "p.plan")
 
-    @pytest.mark.parametrize("line", ["workers = two", "t_end = soon", "u_max_threshold = big"])
+    @pytest.mark.parametrize("line", ["output_stride = two", "t_end = soon", "u_max_threshold = big"])
     def test_malformed_plan_number_names_key(self, tmp_path, line):
         from radtaxis.model import config_to_text
 
@@ -539,6 +547,7 @@ class TestPlanParsing:
         with pytest.raises(ConfigError, match=line.split()[0]):
             parse_plan(tmp_path / "p.plan")
 
+    # A plan may not set the worker count at all, so its `workers` line is an unknown key.
     @pytest.mark.parametrize("line,flags", [("workers = two", []), ("", ["--workers", "0"])])
     def test_malformed_worker_count_exits_2(self, tmp_path, line, flags):
         from radtaxis.cli import main
@@ -550,7 +559,6 @@ class TestPlanParsing:
         )
         argv = ["sweep", "--plan", str(tmp_path / "p.plan"), "--out", str(tmp_path / "out")]
         assert main(argv + flags) == 2
-
 
     @pytest.mark.parametrize("key,planned,own", [
         ("t_end", "0.25", "0.125"),
@@ -569,7 +577,7 @@ class TestPlanParsing:
         seen = {}
         for name, plan_line in (("bare", ""), ("planned", f"{key} = {planned}\n")):
             (tmp_path / f"{name}.plan").write_text(f"base = base.cfg\nalphas = 0.5\n{plan_line}{variants}")
-            for _, data_id, config in parse_plan(tmp_path / f"{name}.plan").cases:
+            for _, data_id, config in parse_plan(tmp_path / f"{name}.plan"):
                 seen[name, data_id] = str(getattr(config, key))
                 assert all(getattr(config, other) == getattr(base, other) for other in others)
         assert seen == {
@@ -602,7 +610,9 @@ class TestPlanParsing:
         ("alphas = 1\nvariant = a constant mass", "'mass' is not key=value"),
         ("alphas = 1\nvariant = a constant mass=1 mass=2", "duplicate key 'initial.mass'"),
         ("alphas = 0.5, 0.5\nvariant = a constant mass=1", "alphas must be distinct"),
-    ], ids=["no_alphas", "no_variant", "duplicate_id", "not_key_value", "duplicate_key", "duplicate_alpha"])
+        ("alphas = 1\nvariant = a constant mass=1\nworkers = 2", "unknown key 'workers'"),  # --workers only
+    ], ids=["no_alphas", "no_variant", "duplicate_id", "not_key_value", "duplicate_key", "duplicate_alpha",
+            "workers"])
     def test_malformed_plan_exits_2_before_out_exists(self, tmp_path, lines, message, capsys):
         from radtaxis.cli import main
         from radtaxis.model import config_to_text

@@ -22,7 +22,7 @@ from radtaxis.model import (
     _RUN_KEYS,
     config_to_text,
     initial_profile,
-    parse_config,
+    load_config,
     sample_initial,
 )
 from radtaxis.stepper import initial_state
@@ -158,9 +158,19 @@ KIND_LINES = {
 }
 
 
+@pytest.fixture
+def load_text(tmp_path):
+    """load_config of a config file that holds `text`."""
+    def load(text):
+        path = tmp_path / "config.cfg"
+        path.write_text(text)
+        return load_config(path)
+    return load
+
+
 class TestConfigParsing:
-    def test_good_config(self):
-        config = parse_config(GOOD_CONFIG)
+    def test_good_config(self, load_text):
+        config = load_text(GOOD_CONFIG)
         assert config.geometry == Geometry(2, 1.0)
         assert config.diffusion == DiffusionLaw(0.5, 1.0)
         assert config.boundary == BoundaryDatum(1.0)
@@ -169,106 +179,106 @@ class TestConfigParsing:
         assert config.lp_exponents == (2.0, 4.0)
         assert config.u_max_threshold is None
 
-    def test_unknown_key_is_hard_error(self):
+    def test_unknown_key_is_hard_error(self, load_text):
         with pytest.raises(ConfigError, match="surprise"):
-            parse_config(GOOD_CONFIG + "\nsurprise = 1\n")
+            load_text(GOOD_CONFIG + "\nsurprise = 1\n")
 
-    def test_missing_required_key(self):
+    def test_missing_required_key(self, load_text):
         text = "\n".join(l for l in GOOD_CONFIG.splitlines() if not l.startswith("R ="))
         with pytest.raises(ConfigError, match="'R'"):
-            parse_config(text)
+            load_text(text)
 
-    def test_constant_kind_uses_mass_key(self):
+    def test_constant_kind_uses_mass_key(self, load_text):
         text = GOOD_CONFIG.replace("initial.kind = gaussian", "initial.kind = constant")
         text = "\n".join(
             l for l in text.splitlines()
             if not (l.startswith("initial.width") or l.startswith("initial.center"))
         )
-        config = parse_config(text)
+        config = load_text(text)
         assert config.initial == ConstantData(mass=2.0)
         # mass 2 over the unit disk: level = 2/pi
         level = initial_profile(config).values
         assert np.all(level == pytest.approx(2.0 / math.pi))
 
-    def test_irrelevant_initial_key_rejected(self):
+    def test_irrelevant_initial_key_rejected(self, load_text):
         text = GOOD_CONFIG + "\ninitial.r_lo = 0.1\n"
         with pytest.raises(ConfigError, match="initial.r_lo"):
-            parse_config(text)
+            load_text(text)
 
-    def test_duplicate_key_rejected(self):
+    def test_duplicate_key_rejected(self, load_text):
         with pytest.raises(ConfigError, match="duplicate"):
-            parse_config(GOOD_CONFIG + "\nn = 3\n")
+            load_text(GOOD_CONFIG + "\nn = 3\n")
 
-    def test_bad_number(self):
+    def test_bad_number(self, load_text):
         with pytest.raises(ConfigError, match="alpha"):
-            parse_config(GOOD_CONFIG.replace("alpha = 0.5", "alpha = fast"))
+            load_text(GOOD_CONFIG.replace("alpha = 0.5", "alpha = fast"))
 
-    def test_center_must_sit_inside_ball(self):
+    def test_center_must_sit_inside_ball(self, load_text):
         with pytest.raises(ConfigError):
-            parse_config(GOOD_CONFIG.replace("initial.center = 0.0", "initial.center = 1.5"))
+            load_text(GOOD_CONFIG.replace("initial.center = 0.0", "initial.center = 1.5"))
 
-    def test_roundtrip_through_text(self):
-        config = parse_config(GOOD_CONFIG)
+    def test_roundtrip_through_text(self, load_text):
+        config = load_text(GOOD_CONFIG)
         assert config.scheme == "explicit"
-        assert parse_config(config_to_text(config)) == config
+        assert load_text(config_to_text(config)) == config
 
-    def test_implicit_config_round_trips(self):
-        config = parse_config(GOOD_CONFIG + "scheme = implicit\n")
+    def test_implicit_config_round_trips(self, load_text):
+        config = load_text(GOOD_CONFIG + "scheme = implicit\n")
         assert config.scheme == "implicit"
         text = config_to_text(config)
         assert "scheme = implicit" in text.splitlines()
-        assert parse_config(text) == config
+        assert load_text(text) == config
 
-    def test_explicit_scheme_is_not_written(self):
+    def test_explicit_scheme_is_not_written(self, load_text):
         # so every explicit report.txt keeps its config echo byte for byte
-        explicit = parse_config(GOOD_CONFIG + "scheme = explicit\n")
-        assert explicit == parse_config(GOOD_CONFIG)
+        explicit = load_text(GOOD_CONFIG + "scheme = explicit\n")
+        assert explicit == load_text(GOOD_CONFIG)
         assert "scheme" not in config_to_text(explicit)
 
     @pytest.mark.parametrize("value", ["Implicit", "crank-nicolson", ""])
-    def test_unknown_scheme_rejected(self, value):
+    def test_unknown_scheme_rejected(self, load_text, value):
         with pytest.raises(ConfigError, match="scheme"):
-            parse_config(GOOD_CONFIG + f"scheme = {value}\n")
+            load_text(GOOD_CONFIG + f"scheme = {value}\n")
 
-    def test_invalid_cells(self):
+    def test_invalid_cells(self, load_text):
         with pytest.raises(ConfigError):
-            parse_config(GOOD_CONFIG.replace("cells = 64", "cells = 8"))
+            load_text(GOOD_CONFIG.replace("cells = 64", "cells = 8"))
 
-    def test_lp_must_exceed_one(self):
+    def test_lp_must_exceed_one(self, load_text):
         with pytest.raises(ConfigError):
-            parse_config(GOOD_CONFIG.replace("lp = 2, 4", "lp = 0.5"))
+            load_text(GOOD_CONFIG.replace("lp = 2, 4", "lp = 0.5"))
 
-    def test_required_keys_alone_take_runconfig_defaults(self):
-        config = parse_config(REQUIRED_ONLY)
+    def test_required_keys_alone_take_runconfig_defaults(self, load_text):
+        config = load_text(REQUIRED_ONLY)
         assert config == RunConfig(geometry=config.geometry, diffusion=config.diffusion,
                                    boundary=config.boundary, initial=config.initial,
                                    cells=config.cells, t_end=config.t_end)
-        assert parse_config(REQUIRED_ONLY + "\nlp =\n") == config
+        assert load_text(REQUIRED_ONLY + "\nlp =\n") == config
 
     def test_every_kind_has_a_round_trip_case(self):
         assert set(KIND_LINES) == set(_KINDS)
 
     @pytest.mark.parametrize("kind", list(KIND_LINES))
-    def test_initial_kind_round_trips_through_text(self, kind):
+    def test_initial_kind_round_trips_through_text(self, load_text, kind):
         # the constant kind's mass is echoed as given, not through its level
         lines = [line for line in REQUIRED_ONLY.splitlines() if not line.startswith("initial.")]
-        config = parse_config("\n".join(lines + KIND_LINES[kind]))
+        config = load_text("\n".join(lines + KIND_LINES[kind]))
         text = config_to_text(config)
         assert [line for line in text.splitlines() if line.startswith("initial.")] == KIND_LINES[kind]
-        assert parse_config(text) == config
+        assert load_text(text) == config
 
     def test_every_run_key_has_a_round_trip_case(self):
         assert set(RUN_KEY_VALUES) == set(_RUN_KEYS)
 
     @pytest.mark.parametrize("key", list(RUN_KEY_VALUES))
-    def test_run_key_round_trips_through_text(self, key):
+    def test_run_key_round_trips_through_text(self, load_text, key):
         field, _ = _RUN_KEYS[key]
-        base = parse_config(REQUIRED_ONLY)
+        base = load_text(REQUIRED_ONLY)
         assert getattr(base, field) != RUN_KEY_VALUES[key]
         config = replace(base, **{field: RUN_KEY_VALUES[key]})
         text = config_to_text(config)
         assert any(line.startswith(f"{key} = ") for line in text.splitlines())
-        assert parse_config(text) == config
+        assert load_text(text) == config
 
 
 def test_every_config_key_is_named_in_the_readme():
@@ -303,14 +313,14 @@ class TestRunConfigValidation:
         with pytest.raises(ConfigError):
             self.base(initial=AnnulusBump(mass=1.0, r_lo=0.5, r_hi=1.5))
 
-    def test_data_must_have_mass_on_the_grid(self):
+    def test_data_must_have_mass_on_the_grid(self, load_text):
         # no Gauss node of the 32-cell grid falls inside the annulus
         text = "\n".join(l for l in GOOD_CONFIG.replace("cells = 64", "cells = 32").splitlines()
                          if not l.startswith("initial."))
         text += "\ninitial.kind = annulus\ninitial.mass = 1.0\ninitial.r_lo = 0.5\ninitial.r_hi = 0.50001\n"
         with pytest.raises(ConfigError, match="zero sampled mass"):
-            parse_config(text)
-        assert parse_config(text.replace("mass = 1.0", "mass = 0.0")).initial.mass == 0.0
+            load_text(text)
+        assert load_text(text.replace("mass = 1.0", "mass = 0.0")).initial.mass == 0.0
         # A config built in code is checked when its run starts.
         thin = self.base(initial=AnnulusBump(mass=1.0, r_lo=0.5, r_hi=0.50001))
         with pytest.raises(ConfigError, match="zero sampled mass"):

@@ -23,9 +23,7 @@ def test_all_shipped_configs_parse():
 def test_all_shipped_plans_parse():
     for name in ("sweep_subcritical_n2.plan", "sweep_subcritical_n3.plan",
                  "sweep_supercritical_n2.plan"):
-        plan = parse_plan(CONFIG_DIR / name)
-        assert plan.alphas
-        assert plan.variants
+        assert parse_plan(CONFIG_DIR / name)
 
 
 def test_blowup_fixture_threshold_sits_between_1000x_and_ceiling():
@@ -37,8 +35,7 @@ def test_blowup_fixture_threshold_sits_between_1000x_and_ceiling():
 
 
 def test_supercritical_sweep_all_blowup_suspected():
-    plan = parse_plan(CONFIG_DIR / "sweep_supercritical_n2.plan")
-    rows = run_sweep(plan)
+    rows = run_sweep(parse_plan(CONFIG_DIR / "sweep_supercritical_n2.plan"), 2)
     assert [row.alpha for row in rows] == [1.5, 2.0, 3.0]
     assert all(row.verdict == BLOWUP_SUSPECTED for row in rows)
 
@@ -75,20 +72,19 @@ def test_verify_on_shipped_default_config_exits_zero(name, capsys):
 
 def test_subcritical_plans_share_the_designated_bump():
     for name in ("sweep_subcritical_n2.plan", "sweep_subcritical_n3.plan"):
-        plan = parse_plan(CONFIG_DIR / name)
-        assert plan.alphas == (0.0, 0.25, 0.5, 0.75, 0.9)
-        (variant,) = plan.variants
-        assert isinstance(variant.config.initial, GaussianBump)
-        assert all(config.t_end == 1.0 for _, _, config in plan.cases)
-        assert all(config.scheme == "implicit" and config.output_stride == 1
-                   for _, _, config in plan.cases)
+        cases = parse_plan(CONFIG_DIR / name)
+        assert [alpha for alpha, _, _ in cases] == [0.0, 0.25, 0.5, 0.75, 0.9]
+        assert {data_id for _, data_id, _ in cases} == {"bump"}
+        assert {config.initial for _, _, config in cases} == {GaussianBump(mass=2.0, width=0.25, center=0.0)}
+        assert all(config.t_end == 1.0 for _, _, config in cases)
+        assert all(config.scheme == "implicit" and config.output_stride == 1 for _, _, config in cases)
 
 
 @pytest.mark.parametrize("name", ["sweep_subcritical_n2.plan", "sweep_subcritical_n3.plan"])
 def test_subcritical_plan_cases_plateau_on_enough_samples(name):
     # The dt cap t_end / 40 leaves at least 8 accepted steps, all recorded,
     # in the final 20% window that the plateau verdict reads.
-    for alpha, _, config in parse_plan(CONFIG_DIR / name).cases:
+    for alpha, _, config in parse_plan(CONFIG_DIR / name):
         report = run_case(config)
         window = [r for r in report.records if r.t >= (1.0 - PLATEAU_WINDOW) * config.t_end]
         assert report.verdict.kind == BOUNDED, alpha
