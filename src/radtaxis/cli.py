@@ -33,6 +33,18 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 
 
+def _worker_count(text: str) -> int:
+    """--workers: an integer >= 1, checked here so a bad count exits before
+    the sweep makes --out."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"workers must be >= 1, got {count}")
+    return count
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="radtaxis",
@@ -47,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run an alpha sweep plan")
     p_sweep.add_argument("--plan", required=True, help="sweep plan file")
     p_sweep.add_argument("--out", required=True, help="output directory")
-    p_sweep.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+    p_sweep.add_argument("--workers", type=_worker_count, default=os.cpu_count() or 1,
                          help="worker count (default: the CPU count, capped at the case count)")
 
     p_verify = sub.add_parser("verify", help="run the invariant verification suite")

@@ -22,7 +22,7 @@ from .model import BoundaryDatum
 _RESIDUAL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EllipticSolution:
     """Signal v on the density's cells, its face gradients, and the solve's
     residual scaled as in its postcondition."""
@@ -52,35 +52,41 @@ def solve_v(u: RadialProfile, boundary: BoundaryDatum) -> EllipticSolution:
     dptsv fail); both raise RadtaxisError.
     """
     grid = u.grid
-    n_cells = grid.n_cells
     dr = grid.dr
     M = boundary.M
+    vu, d, residual = grid.cell_work
+    product = grid.face_work[0]
 
     # Negated system for w: symmetric positive definite when u >= 0.
-    vu = grid.volumes * u.values
-    d = grid.signal_diagonal + vu
+    np.multiply(grid.volumes, u.values, out=vu)
+    np.add(grid.signal_diagonal, vu, out=d)
     d[-1] += grid.conductances[-1]  # ghost reflection doubles the boundary conductance
     e = grid.signal_offdiagonal
-    b = M * vu
+    b = np.multiply(M, vu, out=vu)
+    # dptsv factors copies of d and e and solves in a copy of b, so w is a new array.
     _, _, w, info = dptsv(d, e, b)
     if info != 0:
         raise RadtaxisError(f"signal matrix is not positive definite (dptsv info {info})")
 
     # Rows scaled by their diagonal make the residual tolerance resolution-free.
-    residual = d * w - b
-    residual[:-1] += e * w[1:]
-    residual[1:] += e * w[:-1]
-    worst = float(np.abs(residual / d).max())
+    np.multiply(d, w, out=residual)
+    residual -= b
+    head, tail = residual[:-1], residual[1:]
+    head += np.multiply(e, w[1:], out=product)
+    tail += np.multiply(e, w[:-1], out=product)
+    residual /= d
+    worst = float(residual[np.abs(residual, out=residual).argmax()])
     if not worst <= _RESIDUAL_TOL * M:
         raise RadtaxisError(
             f"signal solve residual {worst:.3e} exceeds {_RESIDUAL_TOL * M:.3e}"
         )
 
-    vr = np.empty(n_cells + 1)
+    vr = np.empty(grid.n_cells + 1)
     vr[0] = 0.0
-    v = M - w
-    vr[1:-1] = (v[1:] - v[:-1]) / dr
     vr[-1] = 2.0 * w[-1] / dr
+    v = np.subtract(M, w, out=w)
+    inner = np.subtract(v[1:], v[:-1], out=vr[1:-1])
+    np.divide(inner, dr, out=inner)
     return EllipticSolution(v=v, vr_faces=vr, residual=worst)
 
 

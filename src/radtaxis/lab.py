@@ -104,14 +104,16 @@ class OnlineChecker:
         self.worst_flux = -math.inf
         self.worst_u_min = math.inf
 
-    def _checks(self) -> Iterator[tuple[str, bool, float, float]]:
+    def _checks(self) -> list[tuple[str, bool, float, float]]:
         """(name, passed, measured, tol) of each check, in report order. A NaN
         worst value fails its check."""
         worst_v = _worse_max(-self.worst_v_low, self.worst_v_high - self.M)
-        yield "mass_conservation", self.worst_mass_drift <= MASS_DRIFT_TOL, self.worst_mass_drift, MASS_DRIFT_TOL
-        yield "signal_bounds", worst_v <= self.signal_tol, worst_v, self.signal_tol
-        yield "boundary_flux_bound", self.worst_flux <= self.flux_tol, self.worst_flux, self.flux_tol
-        yield "positivity", self.worst_u_min >= 0.0, self.worst_u_min, 0.0
+        return [
+            ("mass_conservation", self.worst_mass_drift <= MASS_DRIFT_TOL, self.worst_mass_drift, MASS_DRIFT_TOL),
+            ("signal_bounds", worst_v <= self.signal_tol, worst_v, self.signal_tol),
+            ("boundary_flux_bound", self.worst_flux <= self.flux_tol, self.worst_flux, self.flux_tol),
+            ("positivity", self.worst_u_min >= 0.0, self.worst_u_min, 0.0),
+        ]
 
     def observe(self, record: TraceRecord, state: SimState) -> str | None:
         """Fold one record into all four worst values, then name the first
@@ -119,11 +121,14 @@ class OnlineChecker:
         denom = self.mass0 if self.mass0 > 0.0 else 1.0
         self.worst_mass_drift = _worse_max(self.worst_mass_drift, abs(record.mass - self.mass0) / denom)
         v = state.elliptic.v
-        self.worst_v_low = _worse_min(self.worst_v_low, float(np.min(v)))
-        self.worst_v_high = _worse_max(self.worst_v_high, float(np.max(v)))
+        self.worst_v_low = _worse_min(self.worst_v_low, float(v[v.argmin()]))
+        self.worst_v_high = _worse_max(self.worst_v_high, float(v[v.argmax()]))
         self.worst_flux = _worse_max(self.worst_flux, record.boundary_flux)
         self.worst_u_min = _worse_min(self.worst_u_min, record.u_min)
-        return next((name for name, passed, _, _ in self._checks() if not passed), None)
+        for name, passed, _, _ in self._checks():
+            if not passed:
+                return name
+        return None
 
     def summaries(self) -> list[CheckResult]:
         """One result per check: its worst value against its tolerance."""

@@ -35,12 +35,18 @@ class DiffusionLaw:
         if not (math.isfinite(self.kappa) and self.kappa > 0):
             raise ConfigError(f"diffusion scale kappa must be finite and > 0, got {self.kappa!r}")
 
-    def eval(self, xi):
+    def eval(self, xi, out: np.ndarray | None = None):
         """D(xi) for scalar or array xi >= 0; strictly positive.
 
-        A negative xi is not checked: the stepper's states are nonnegative.
+        A given `out` array (which may be xi itself) receives the values and
+        is returned; they are bitwise those of the form without it. A
+        negative xi is not checked: the stepper's states are nonnegative.
         """
-        return self.kappa * (xi + 1.0) ** (-self.alpha)
+        if out is None:
+            return self.kappa * (xi + 1.0) ** (-self.alpha)
+        np.add(xi, 1.0, out=out)
+        out **= -self.alpha
+        return np.multiply(out, self.kappa, out=out)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,14 @@ threshold check, signal solve. Every end of a run is a StepOutcome, never
 an exception: dt collapse and sup-norm runaway, which double as the
 blow-up detector, a numerical failure, and a recorder that names a failed
 check (CHECK_FAILED).
+
+The kernels form their intermediates in the work arrays of the state's grid
+(`RadialGrid.face_work` and `cell_work`), so a step allocates only the new
+state's arrays and the fluxes. No array that a function here returns, and no
+array that a state holds, is a work array: `lab.paired_separation` takes
+`face_flux` of two states on one grid before it steps either of them. The
+private helpers `_transfer_rates` and `_implicit_matrix` are the exception;
+they return work arrays for the next kernel of the same step to consume.
 """
 from __future__ import annotations
 
@@ -35,7 +43,7 @@ import numpy as np
 from ._lapack import dgtsv
 from .elliptic import EllipticSolution, solve_v
 from .errors import RadtaxisError
-from .grid import RadialProfile, boundary_trace, integrate, lp_norm
+from .grid import RadialGrid, RadialProfile, boundary_trace, integrate, lp_norms
 from .model import DiffusionLaw, RunConfig, initial_profile
 
 _NEG_CLIP_REL = 1e-13
@@ -56,7 +64,7 @@ class StepStatus(Enum):
     REJECTED = "rejected"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SimState:
     """Trajectory state; the elliptic solution always matches the current u.
 
@@ -74,7 +82,7 @@ class SimState:
     worst_residual: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepOutcome:
     """Step result; `state` is populated only when status is ADVANCED.
 
@@ -89,7 +97,7 @@ class StepOutcome:
     message: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass
 class TraceRecord:
     """One recorder sample; lp entries align with config.lp_exponents."""
 
@@ -127,15 +135,23 @@ def initial_state(config: RunConfig, u0: RadialProfile | None = None) -> SimStat
 def _transfer_rates(u: RadialProfile, vr_faces: np.ndarray, law: DiffusionLaw) -> tuple[np.ndarray, np.ndarray]:
     """Donor-split rates of the interior faces: each face drains its inner
     cell at `left` and its outer cell at `right` per unit density. Every
-    state is nonnegative (sampled, or clipped by `_accept`), and so is u_face."""
+    state is nonnegative (sampled, or clipped by `_accept`), and so is u_face.
+
+    Both are work arrays of u's grid, as is the third face work array used
+    on the way.
+    """
     values = u.values
     grid = u.grid
-    u_face = 0.5 * (values[:-1] + values[1:])
-    a = grid.inner_conductances * law.eval(u_face)
-    area_vr = grid.inner_face_areas * vr_faces[1:-1]
-    left = a + np.maximum(area_vr, 0.0)
-    right = a - np.minimum(area_vr, 0.0)
-    return left, right
+    right, area_vr, left = grid.face_work
+    a = np.add(values[:-1], values[1:], out=right)
+    np.multiply(a, 0.5, out=a)  # u_face
+    law.eval(a, out=a)
+    a *= grid.inner_conductances
+    np.multiply(grid.inner_face_areas, vr_faces[1:-1], out=area_vr)
+    np.maximum(area_vr, 0.0, out=left)
+    left += a
+    np.minimum(area_vr, 0.0, out=area_vr)
+    return left, np.subtract(a, area_vr, out=right)
 
 
 def face_flux(u: RadialProfile, vr_faces: np.ndarray, law: DiffusionLaw) -> tuple[np.ndarray, float]:
@@ -153,17 +169,23 @@ def face_flux(u: RadialProfile, vr_faces: np.ndarray, law: DiffusionLaw) -> tupl
     A_{i-1/2} max(-vr_{i-1/2}, 0) over interior faces only, summed as left
     of its outer face plus right of its inner face. Up to dt = bound the
     forward-Euler update is a nonnegative combination of the old values.
+    The flux array is new; only the grid's work arrays are reused.
     """
     values = u.values
     grid = u.grid
     left, right = _transfer_rates(u, vr_faces, law)
-    flux = np.zeros(grid.n_cells + 1)
-    flux[1:-1] = right * values[1:] - left * values[:-1]
+    flux = np.empty(grid.n_cells + 1)
+    flux[0] = 0.0
+    flux[-1] = 0.0
+    inner = np.multiply(right, values[1:], out=flux[1:-1])
+    inner -= np.multiply(left, values[:-1], out=grid.face_work[1])
 
-    out = np.zeros(grid.n_cells)
+    out = grid.cell_work[0]
     out[:-1] = left
-    out[1:] += right
-    return flux, float((grid.volumes / out).min())
+    out[-1] = 0.0
+    tail = out[1:]
+    tail += right
+    return flux, float(out[np.divide(grid.volumes, out, out=out).argmin()])
 
 
 def cfl_dt(u: RadialProfile, vr_faces: np.ndarray, law: DiffusionLaw, cfl_safety: float) -> float:
@@ -192,33 +214,43 @@ def step(state: SimState, config: RunConfig, dt: float, flux: np.ndarray | None 
     if underflow is not None:
         return underflow
 
-    grid = state.u.grid
+    u = state.u
     if flux is None:
-        flux = face_flux(state.u, state.elliptic.vr_faces, config.diffusion)[0]
+        flux = face_flux(u, state.elliptic.vr_faces, config.diffusion)[0]
     u_new = flux[1:] - flux[:-1]
-    u_new *= dt / grid.volumes
-    u_new += state.u.values
+    u_new *= np.divide(dt, u.grid.volumes, out=u.grid.cell_work[0])
+    u_new += u.values
     return _accept(state, config, dt, u_new)
 
 
-def _implicit_matrix(volumes: np.ndarray, dt: float, left: np.ndarray,
+def _implicit_matrix(grid: RadialGrid, dt: float, left: np.ndarray,
                      right: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lower, diagonal, upper) of the backward-Euler transport matrix.
 
     Row i is V_i/dt + left_i + right_{i-1} on the diagonal, -right_i above
-    it and -left_{i-1} below it, so column j sums to V_j/dt.
+    it and -left_{i-1} below it, so column j sums to V_j/dt. The diagonal
+    is a work array of the grid, and the off-diagonals overwrite left and
+    right.
     """
-    diagonal = volumes / dt
-    diagonal[:-1] += left
-    diagonal[1:] += right
-    return -left, diagonal, -right
+    diagonal = np.divide(grid.volumes, dt, out=grid.cell_work[0])
+    head, tail = diagonal[:-1], diagonal[1:]
+    head += left
+    tail += right
+    return np.negative(left, out=left), diagonal, np.negative(right, out=right)
 
 
-def _implicit_solve(volumes: np.ndarray, values: np.ndarray, dt: float, left: np.ndarray,
+def _implicit_solve(u: RadialProfile, dt: float, left: np.ndarray,
                     right: np.ndarray) -> tuple[np.ndarray, int]:
-    """The density after dt from the backward-Euler system, and dgtsv's info."""
-    lower, diagonal, upper = _implicit_matrix(volumes, dt, left, right)
-    _, _, _, u_new, info = dgtsv(lower, diagonal, upper, volumes * values / dt,
+    """The density after dt from the backward-Euler system, and dgtsv's info.
+
+    dgtsv works in place on the matrix (which overwrites left and right)
+    and on the right-hand side, a new array that becomes the density.
+    """
+    grid = u.grid
+    lower, diagonal, upper = _implicit_matrix(grid, dt, left, right)
+    rhs = grid.volumes * u.values
+    np.divide(rhs, dt, out=rhs)
+    _, _, _, u_new, info = dgtsv(lower, diagonal, upper, rhs,
                                  overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)
     return u_new, info
 
@@ -236,14 +268,16 @@ def implicit_step(state: SimState, config: RunConfig, dt: float) -> StepOutcome:
     if underflow is not None:
         return underflow
 
-    values = state.u.values
-    rates = _transfer_rates(state.u, state.elliptic.vr_faces, config.diffusion)
-    u_new, info = _implicit_solve(state.u.grid.volumes, values, dt, *rates)
+    u = state.u
+    values = u.values
+    rates = _transfer_rates(u, state.elliptic.vr_faces, config.diffusion)
+    u_new, info = _implicit_solve(u, dt, *rates)
     if info != 0:
         return StepOutcome(StepStatus.NUMERICAL_FAILURE, measurement=float(info),
                            message=f"implicit transport matrix is singular (dgtsv info {info})")
-    linf = float(values.max())
-    jump = float(np.abs(u_new - values).max())
+    linf = float(values[values.argmax()])
+    difference = np.subtract(u_new, values, out=u.grid.cell_work[0])
+    jump = float(difference[np.abs(difference, out=difference).argmax()])
     change = jump / linf if jump > 0.0 else 0.0
     if change > IMPLICIT_TOL:
         return StepOutcome(StepStatus.REJECTED, measurement=change,
@@ -262,8 +296,8 @@ def _accept(state: SimState, config: RunConfig, dt: float, u_new: np.ndarray,
     grid = state.u.grid
     # min and max propagate NaN and show an infinity, so they double as the
     # finiteness check.
-    pre_clip_min = float(u_new.min())
-    linf_new = float(u_new.max())
+    pre_clip_min = float(u_new[u_new.argmin()])
+    linf_new = float(u_new[u_new.argmax()])
     if not (math.isfinite(pre_clip_min) and math.isfinite(linf_new)):
         bad_cell = int(np.flatnonzero(~np.isfinite(u_new))[0])
         return StepOutcome(StepStatus.NUMERICAL_FAILURE, measurement=float(bad_cell),
@@ -283,13 +317,17 @@ def _accept(state: SimState, config: RunConfig, dt: float, u_new: np.ndarray,
         mass_now = float(np.dot(grid.volumes, u_new))
         if mass_now > 0.0:
             u_new *= (mass_now - clipped_mass) / mass_now
-        linf_new = float(u_new.max())
+        linf_new = float(u_new[u_new.argmax()])
 
     if linf_new > threshold:
         return StepOutcome(StepStatus.THRESHOLD_EXCEEDED, measurement=linf_new,
                            message=f"sup norm {linf_new:.6e} exceeded threshold {threshold:.6e}")
 
-    u_profile = RadialProfile(grid, u_new)
+    # u_new is a new float array of the grid's shape, so the profile skips
+    # RadialProfile's checks.
+    u_profile = object.__new__(RadialProfile)
+    u_profile.grid = grid
+    u_profile.values = u_new
     try:
         elliptic = solve_v(u_profile, config.boundary)
     except RadtaxisError as exc:
@@ -310,15 +348,16 @@ def _accept(state: SimState, config: RunConfig, dt: float, u_new: np.ndarray,
 
 def make_record(state: SimState, config: RunConfig) -> TraceRecord:
     u = state.u
+    linf, lp = lp_norms(u, config.lp_exponents)
     return TraceRecord(
         t=state.t,
         dt=state.dt,
         mass=integrate(u),
-        linf=lp_norm(u, math.inf),
-        lp=tuple(lp_norm(u, p) for p in config.lp_exponents),
+        linf=linf,
+        lp=lp,
         u_boundary=boundary_trace(u),
         boundary_flux=state.elliptic.boundary_flux,
-        u_min=float(np.min(u.values)),
+        u_min=float(u.values[u.values.argmin()]),
     )
 
 

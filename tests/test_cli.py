@@ -297,6 +297,19 @@ class TestSweepCommand:
             counts.append(len(grid_builds))
         assert counts == [2 + 2, 2 + 2]
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_rejected_worker_count_exits_2_before_out_exists(self, tmp_path, config_path, workers, capsys):
+        plan = tmp_path / "sweep.plan"
+        plan.write_text(
+            f"base = {config_path.name}\n"
+            "alphas = 0.0\n"
+            "variant = bump gaussian mass=2 width=0.25 center=0.0\n"
+        )
+        out = tmp_path / "out"
+        assert main(["sweep", "--plan", str(plan), "--out", str(out), "--workers", workers]) == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("cpus,forks", [(3, 2), (None, 0)])
     def test_default_worker_count_is_the_cpu_count(self, tmp_path, config_path, monkeypatch, cpus, forks):
         # This process is a worker too, so a sweep forks one fewer than it runs.

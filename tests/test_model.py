@@ -49,6 +49,15 @@ class TestDiffusionLaw:
         with pytest.raises(ConfigError):
             DiffusionLaw(alpha=0.5, kappa=0.0)
 
+    @pytest.mark.parametrize("alpha", [-2.0, -1.0, -0.5, 0.0, 0.5, 0.9, 1.0, 1.5, 2.0])
+    def test_out_array_holds_the_bits_of_the_plain_form(self, alpha):
+        law = DiffusionLaw(alpha=alpha, kappa=1.7)
+        xi = np.random.default_rng(3).uniform(0.0, 50.0, 257)
+        expected = law.eval(xi)
+        work = xi.copy()
+        assert law.eval(work, out=work) is work
+        assert np.array_equal(work, expected)
+
     @given(
         alpha=st.floats(min_value=-2.0, max_value=1.0),
         kappa=st.floats(min_value=1e-3, max_value=1e3),

@@ -7,7 +7,7 @@ import pytest
 
 from radtaxis import stepper
 from radtaxis.elliptic import EllipticSolution, solve_v
-from radtaxis.grid import Geometry, RadialGrid, RadialProfile, integrate
+from radtaxis.grid import Geometry, RadialGrid, RadialProfile, boundary_trace, integrate, lp_norm
 from radtaxis.lab import run_case
 from radtaxis.model import (
     BoundaryDatum,
@@ -16,6 +16,7 @@ from radtaxis.model import (
     GaussianBump,
     RunConfig,
     load_config,
+    sample_initial,
 )
 from radtaxis.stepper import (
     IMPLICIT_MIN_STEPS,
@@ -31,6 +32,7 @@ from radtaxis.stepper import (
     face_flux,
     implicit_step,
     initial_state,
+    make_record,
     step,
 )
 
@@ -389,9 +391,9 @@ class TestAdvance:
         calls = []
         original = DiffusionLaw.eval
 
-        def counting(self, xi):
+        def counting(self, xi, out=None):
             calls.append(xi.size)
-            return original(self, xi)
+            return original(self, xi, out)
 
         monkeypatch.setattr(DiffusionLaw, "eval", counting)
         config = make_config(cells=32, t_end=2e-3)
@@ -494,9 +496,9 @@ class TestImplicitStep:
         config = make_config(geometry=Geometry(n, 1.0), cells=128)
         state = initial_state(config)
         grid = state.u.grid
-        rates = _transfer_rates(state.u, state.elliptic.vr_faces, config.diffusion)
         dt = 1000.0 * face_flux(state.u, state.elliptic.vr_faces, config.diffusion)[1]
-        u_new, info = _implicit_solve(grid.volumes, state.u.values, dt, *rates)
+        rates = _transfer_rates(state.u, state.elliptic.vr_faces, config.diffusion)
+        u_new, info = _implicit_solve(state.u, dt, *rates)
         assert info == 0
         mass0 = integrate(state.u)
         assert abs(float(np.dot(grid.volumes, u_new)) - mass0) <= 1e-13 * mass0
@@ -512,7 +514,7 @@ class TestImplicitStep:
         left, right = _transfer_rates(u, vr, law)
         assert (left > right).any() and (right > left).any()
         dt = 1e-3
-        lower, diagonal, upper = _implicit_matrix(grid.volumes, dt, left, right)
+        lower, diagonal, upper = _implicit_matrix(grid, dt, left, right)
         matrix = np.diag(diagonal) + np.diag(lower, -1) + np.diag(upper, 1)
         assert np.all(matrix - np.diag(diagonal) <= 0.0)
         scale = np.abs(matrix).sum(axis=0)
@@ -580,3 +582,95 @@ def test_implicit_final_profile_matches_explicit(name):
     explicit, implicit = (f.u.values for f in finals)
     assert finals[1].step_index < finals[0].step_index / 50
     assert np.abs(implicit - explicit).max() <= 0.01 * explicit.max()
+
+
+def _twin_states(config, grid):
+    """The config's initial state and a bumped twin, both on `grid`."""
+    base = initial_state(config, sample_initial(config.initial, grid))
+    bump = np.cos(0.5 * math.pi * grid.center_radii) ** 2
+    return base, initial_state(config, RadialProfile(grid, base.u.values + 0.5 * bump))
+
+
+def _alone(state, config):
+    """The same state on a grid of its own."""
+    grid = RadialGrid(config.geometry, config.cells)
+    return initial_state(config, RadialProfile(grid, state.u.values.copy()))
+
+
+class TestWorkArrays:
+    """Kernels form intermediates in their grid's work arrays; none may leak
+    into a returned array or a state."""
+
+    STEPS = 50
+
+    def assert_same(self, a, b):
+        assert (a.t, a.step_index, a.min_u_watermark, a.worst_residual) == \
+            (b.t, b.step_index, b.min_u_watermark, b.worst_residual)
+        for x, y in ((a.u.values, b.u.values), (a.elliptic.v, b.elliptic.v),
+                     (a.elliptic.vr_faces, b.elliptic.vr_faces)):
+            assert np.array_equal(x, y)
+
+    def test_interleaved_explicit_steps_on_one_grid_match_separate_grids(self):
+        # lab.paired_separation's order: both fluxes first, then both steps.
+        config = make_config()
+        grid = RadialGrid(config.geometry, config.cells)
+        a, b = _twin_states(config, grid)
+        alone_a, alone_b = _alone(a, config), _alone(b, config)
+        law = config.diffusion
+        for _ in range(self.STEPS):
+            flux_a, bound_a = face_flux(a.u, a.elliptic.vr_faces, law)
+            flux_b, bound_b = face_flux(b.u, b.elliptic.vr_faces, law)
+            dt = config.cfl_safety * min(bound_a, bound_b)
+            a = step(a, config, dt, flux_a).state
+            b = step(b, config, dt, flux_b).state
+            alone_a = step(alone_a, config, dt).state
+            alone_b = step(alone_b, config, dt).state
+        assert a.u.grid is b.u.grid is grid
+        self.assert_same(a, alone_a)
+        self.assert_same(b, alone_b)
+
+    def test_interleaved_implicit_steps_on_one_grid_match_separate_grids(self):
+        config = make_config(scheme="implicit")
+        grid = RadialGrid(config.geometry, config.cells)
+        a, b = _twin_states(config, grid)
+        alone_a, alone_b = _alone(a, config), _alone(b, config)
+        dt = 2.0 * cfl_dt(a.u, a.elliptic.vr_faces, config.diffusion, 1.0)
+        for _ in range(self.STEPS):
+            outcomes = [implicit_step(s, config, dt) for s in (a, b, alone_a, alone_b)]
+            assert all(o.status is StepStatus.ADVANCED for o in outcomes)
+            a, b, alone_a, alone_b = (o.state for o in outcomes)
+        self.assert_same(a, alone_a)
+        self.assert_same(b, alone_b)
+
+    def test_face_flux_result_survives_a_second_call_on_the_grid(self):
+        config = make_config()
+        a, b = _twin_states(config, RadialGrid(config.geometry, config.cells))
+        flux, bound = face_flux(a.u, a.elliptic.vr_faces, config.diffusion)
+        kept = flux.copy()
+        face_flux(b.u, b.elliptic.vr_faces, config.diffusion)
+        assert np.array_equal(flux, kept)
+        assert face_flux(a.u, a.elliptic.vr_faces, config.diffusion)[1] == bound
+
+
+class TestMakeRecord:
+    """make_record forms |u| and its max once; its figures are exactly those
+    of the grid functions it stands in for."""
+
+    @pytest.mark.parametrize("kind", ["random", "zero", "spike"])
+    def test_record_equals_the_grid_functions(self, kind):
+        config = make_config(lp_exponents=(2.0, 4.0, 7.5))
+        grid = RadialGrid(config.geometry, config.cells)
+        values = {
+            "random": np.random.default_rng(5).uniform(0.0, 10.0, config.cells),
+            "zero": np.zeros(config.cells),
+            "spike": np.where(np.arange(config.cells) == 17, 3.25, 0.0),
+        }[kind]
+        state = initial_state(config, RadialProfile(grid, values))
+        u = state.u
+        record = make_record(state, config)
+        assert record.mass == integrate(u)
+        assert record.linf == lp_norm(u, math.inf) == float(np.max(np.abs(u.values)))
+        assert record.lp == tuple(lp_norm(u, p) for p in config.lp_exponents)
+        assert record.u_boundary == boundary_trace(u)
+        assert record.u_min == float(np.min(u.values))
+        assert record.boundary_flux == state.elliptic.boundary_flux
