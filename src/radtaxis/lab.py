@@ -278,7 +278,7 @@ def paired_separation(base: SimState, config: RunConfig, eps: float, steps: int)
     grid = base.u.grid
     bump = np.cos(0.5 * math.pi * grid.center_radii / config.geometry.R) ** 2
     twin = initial_state(config, RadialProfile(grid, base.u.values + eps * bump))
-    resolved = replace(config, u_max_threshold=math.inf, dt_min=1e-300)
+    resolved = replace(config, u_max_threshold=math.inf)
 
     ts = [0.0]
     ws = [float(np.dot(grid.volumes, (base.u.values - twin.u.values) ** 2))]

@@ -89,25 +89,10 @@ class GaussianBump:
             raise ConfigError(f"bump center must be >= 0, got {self.center!r}")
 
 
-@dataclass(frozen=True)
-class AnnulusBump:
-    """Smooth ring profile sin^2(pi (r - r_lo)/(r_hi - r_lo)) on (r_lo, r_hi), 0 outside."""
-
-    mass: float
-    r_lo: float
-    r_hi: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.mass) and self.mass >= 0):
-            raise ConfigError(f"annulus mass must be >= 0, got {self.mass!r}")
-        if not (0.0 <= self.r_lo < self.r_hi):
-            raise ConfigError(f"annulus needs 0 <= r_lo < r_hi, got [{self.r_lo!r}, {self.r_hi!r}]")
-
-
-InitialData = Union[ConstantData, GaussianBump, AnnulusBump]
+InitialData = Union[ConstantData, GaussianBump]
 # initial.kind -> its class. A kind's other `initial.*` keys are exactly its
 # dataclass fields, in field order, and a config must set all of them.
-_KINDS = {"constant": ConstantData, "gaussian": GaussianBump, "annulus": AnnulusBump}
+_KINDS = {"constant": ConstantData, "gaussian": GaussianBump}
 
 
 def _initial_keys(kind: type) -> list[str]:
@@ -115,25 +100,16 @@ def _initial_keys(kind: type) -> list[str]:
 
 
 # 3-point Gauss-Legendre rule on [-1, 1]; exact for cell averages of the
-# smooth closed forms to the accuracy the mass normalization then absorbs.
+# Gaussian to the accuracy the mass normalization then absorbs.
 _GAUSS_NODES = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
 _GAUSS_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
-
-
-def _shape_values(data: GaussianBump | AnnulusBump, r: np.ndarray) -> np.ndarray:
-    if isinstance(data, GaussianBump):
-        # A tiny width overflows the square; its exp is 0, which is fine.
-        return np.exp(-(((r - data.center) / data.width) ** 2))
-    inside = (r > data.r_lo) & (r < data.r_hi)
-    phase = np.where(inside, (r - data.r_lo) / (data.r_hi - data.r_lo), 0.0)
-    return np.where(inside, np.sin(math.pi * phase) ** 2, 0.0)
 
 
 def sample_initial(data: InitialData, grid: RadialGrid) -> RadialProfile:
     """Sample initial data as cell averages on the radial grid.
 
-    Mass-parametrized kinds are integrated cell by cell (Gauss quadrature of
-    the closed form against the volume weight r^(n-1)) and then rescaled so
+    A Gaussian bump is integrated cell by cell (Gauss quadrature of its
+    closed form against the volume weight r^(n-1)) and then rescaled so
     the grid quadrature reproduces the requested mass exactly; this keeps the
     sampled mass refinement-invariant. Data that cannot be normalized, or
     whose density overflows on this grid, is a ConfigError, so every profile
@@ -153,14 +129,16 @@ def sample_initial(data: InitialData, grid: RadialGrid) -> RadialProfile:
             cell_integrals = np.zeros(grid.n_cells)
             for node, weight in zip(_GAUSS_NODES, _GAUSS_WEIGHTS):
                 r = mid + half * node
-                cell_integrals += weight * _shape_values(data, r) * r ** exponent
+                # A tiny width overflows the square; its exp is 0, which is fine.
+                shape = np.exp(-(((r - data.center) / data.width) ** 2))
+                cell_integrals += weight * shape * r ** exponent
             cell_integrals *= half * grid.geometry.surface_coefficient
             values = cell_integrals / grid.volumes
             raw_mass = integrate(RadialProfile(grid, values))
             if raw_mass <= 0.0:
                 raise ConfigError(
                     "initial profile has zero sampled mass and cannot be normalized; "
-                    "check width / annulus bounds against the grid"
+                    "check the width against the grid"
                 )
             values *= data.mass / raw_mass
     if not np.isfinite(values).all():
@@ -172,9 +150,11 @@ def sample_initial(data: InitialData, grid: RadialGrid) -> RadialProfile:
 class RunConfig:
     """Full description of one simulation case.
 
-    u_max_threshold and dt_min may be left None; they are then resolved at
-    run start as 1e6 * ||u0||_inf and 1e-12 * (first stable dt). scheme
-    picks the transport step: "explicit" or the linearly "implicit" one.
+    u_max_threshold may be left None; it is then resolved at run start as
+    1e6 * ||u0||_inf. dt_min is not a config key: `stepper.resolve_limits`
+    sets it to 1e-12 * (first stable dt), the floor below which a run ends
+    in dt underflow. scheme picks the transport step: "explicit" or the
+    linearly "implicit" one.
     """
 
     geometry: Geometry
@@ -214,8 +194,6 @@ class RunConfig:
         R = self.geometry.R
         if isinstance(self.initial, GaussianBump) and not self.initial.center < R:
             raise ConfigError(f"bump center {self.initial.center} must be < R = {R}")
-        if isinstance(self.initial, AnnulusBump) and not self.initial.r_hi <= R:
-            raise ConfigError(f"annulus outer radius {self.initial.r_hi} must be <= R = {R}")
 
 
 def initial_profile(config: RunConfig) -> RadialProfile:
@@ -293,7 +271,6 @@ _RUN_KEYS = {
     "cfl_safety": ("cfl_safety", _parse_float),
     "scheme": ("scheme", _parse_text),
     "u_max_threshold": ("u_max_threshold", _parse_float),
-    "dt_min": ("dt_min", _parse_float),
     "output_stride": ("output_stride", _parse_int),
     "lp": ("lp_exponents", _parse_floats),
 }

@@ -21,7 +21,8 @@ Both schemes share the tail of a step: finiteness check, clip and repair,
 threshold check, signal solve. Every end of a run is a StepOutcome, never
 an exception: dt collapse and sup-norm runaway, which double as the
 blow-up detector, a numerical failure, and a recorder that names a failed
-check (CHECK_FAILED).
+check (CHECK_FAILED). The dt floor is the run's: the marches end a run
+whose next dt falls below it, and a single step takes any dt.
 
 The kernels form their intermediates in the work arrays of the state's grid
 (`RadialGrid.face_work` and `cell_work`), so a step allocates only the new
@@ -193,27 +194,13 @@ def cfl_dt(u: RadialProfile, vr_faces: np.ndarray, law: DiffusionLaw, cfl_safety
     return cfl_safety * face_flux(u, vr_faces, law)[1]
 
 
-def _underflow(config: RunConfig, dt: float) -> StepOutcome | None:
-    """DT_UNDERFLOW when dt is below dt_min (None meaning zero), else None."""
-    dt_min = config.dt_min if config.dt_min is not None else 0.0
-    if dt < dt_min:
-        return StepOutcome(StepStatus.DT_UNDERFLOW, measurement=dt,
-                           message=f"dt {dt:.3e} fell below dt_min {dt_min:.3e}")
-    return None
-
-
 def step(state: SimState, config: RunConfig, dt: float, flux: np.ndarray | None = None) -> StepOutcome:
     """One forward-Euler step at the supplied dt.
 
     `flux` is `face_flux(...)[0]` of this state, evaluated here when not
     given. Never raises past a well-formed outcome. A threshold of None
-    means unbounded and a dt_min of None means zero (callers normally
-    resolve both; see `advance`).
+    means unbounded (callers normally resolve it; see `advance`).
     """
-    underflow = _underflow(config, dt)
-    if underflow is not None:
-        return underflow
-
     u = state.u
     if flux is None:
         flux = face_flux(u, state.elliptic.vr_faces, config.diffusion)[0]
@@ -264,10 +251,6 @@ def implicit_step(state: SimState, config: RunConfig, dt: float) -> StepOutcome:
     dt. An attempt whose relative sup-norm change exceeds IMPLICIT_TOL is
     REJECTED and leaves the state as it was.
     """
-    underflow = _underflow(config, dt)
-    if underflow is not None:
-        return underflow
-
     u = state.u
     values = u.values
     rates = _transfer_rates(u, state.elliptic.vr_faces, config.diffusion)
@@ -366,7 +349,8 @@ def resolve_limits(config: RunConfig, state: SimState, first_dt: float) -> RunCo
 
     u_max_threshold defaults to 1e6 * ||u0||_inf (unbounded for zero data)
     and dt_min to 1e-12 * the first stable dt. A zero or NaN first dt (from a
-    non-finite drift) leaves dt_min unset; `step` then fails on the update.
+    non-finite drift) leaves dt_min unset, so the marches apply no floor;
+    `step` then fails on the update.
     """
     threshold = config.u_max_threshold
     if threshold is None:
@@ -379,11 +363,18 @@ def resolve_limits(config: RunConfig, state: SimState, first_dt: float) -> RunCo
 
 
 def _explicit_march(state: SimState, config: RunConfig) -> Iterator[StepOutcome]:
-    """Explicit steps at cfl_safety times each state's positivity bound;
-    `advance` stops at the first outcome that is not ADVANCED."""
+    """Explicit steps at cfl_safety times each state's positivity bound,
+    until one falls below dt_min (None meaning zero); `advance` stops at the
+    first outcome that is not ADVANCED."""
+    dt_min = config.dt_min or 0.0
     while state.t < config.t_end:
         flux, bound = face_flux(state.u, state.elliptic.vr_faces, config.diffusion)
-        outcome = step(state, config, config.cfl_safety * bound, flux)
+        dt = config.cfl_safety * bound
+        if dt < dt_min:
+            yield StepOutcome(StepStatus.DT_UNDERFLOW, measurement=dt,
+                              message=f"dt {dt:.3e} fell below dt_min {dt_min:.3e}")
+            return
+        outcome = step(state, config, dt, flux)
         yield outcome
         state = outcome.state
 
@@ -398,8 +389,10 @@ def _implicit_march(state: SimState, config: RunConfig, dt: float) -> Iterator[S
     less than itself is cut to half of it, so no step is a round-off sliver.
     The last step lands on t_end exactly: the cap keeps t >= t_end / 2
     there, where t_end - t is exact (Sterbenz) and t + (t_end - t) rounds
-    to t_end. Yields accepted steps and the outcome that ends the run.
+    to t_end. A cut dt below dt_min (None meaning zero) ends the run. Yields
+    accepted steps and the outcome that ends the run.
     """
+    dt_min = config.dt_min or 0.0
     dt_max = config.t_end / IMPLICIT_MIN_STEPS
     while state.t < config.t_end:
         remaining = config.t_end - state.t
@@ -408,6 +401,10 @@ def _implicit_march(state: SimState, config: RunConfig, dt: float) -> Iterator[S
             dt = remaining
         elif 2.0 * dt > remaining:
             dt = 0.5 * remaining
+        if dt < dt_min:
+            yield StepOutcome(StepStatus.DT_UNDERFLOW, measurement=dt,
+                              message=f"dt {dt:.3e} fell below dt_min {dt_min:.3e}")
+            return
         outcome = implicit_step(state, config, dt)
         if outcome.status is StepStatus.REJECTED:
             dt *= 0.5

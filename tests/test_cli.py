@@ -127,13 +127,24 @@ class TestSimulate:
         assert not (tmp_path / "o").exists()
 
     def test_data_that_samples_to_zero_mass_exits_2(self, tmp_path, capsys):
-        # no Gauss node of the 32-cell grid falls inside the annulus
+        # r = 0.5 is a face of the 32-cell grid, 3500 widths from its nearest Gauss node
         cfg = tmp_path / "thin.cfg"
-        cfg.write_text(GOOD.replace("initial.kind = gaussian", "initial.kind = annulus")
-                       .replace("initial.width = 0.25", "initial.r_lo = 0.5")
-                       .replace("initial.center = 0.0", "initial.r_hi = 0.50001"))
+        cfg.write_text(GOOD.replace("initial.width = 0.25", "initial.width = 1e-6")
+                       .replace("initial.center = 0.0", "initial.center = 0.5"))
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "zero sampled mass" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("edit,message", [
+        (("cells = 32", "cells = 32\ndt_min = 1e-9"), "unknown key 'dt_min'"),
+        (("initial.kind = gaussian", "initial.kind = annulus"),
+         "initial.kind must be one of constant, gaussian, got 'annulus'"),
+    ], ids=["dt_min", "annulus"])
+    def test_removed_input_exits_2_before_out_exists(self, tmp_path, edit, message, capsys):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(GOOD.replace(*edit))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("changes", [

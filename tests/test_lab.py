@@ -487,7 +487,7 @@ class TestPlanParsing:
             "alphas = 0.9, 0.1",
             "t_end = 0.125",
             "variant = bump gaussian mass=2 width=0.25 center=0.0",
-            "variant = ring annulus mass=1 r_lo=0.2 r_hi=0.6 u_max_threshold=50",
+            "variant = ring gaussian mass=1 width=0.1 center=0.8 u_max_threshold=50",
             "variant = level constant mass=3.0",
         ])
         (tmp_path / "sweep.plan").write_text(plan_text)
@@ -497,6 +497,7 @@ class TestPlanParsing:
         configs = {data_id: config for _, data_id, config in cases}
         assert all(config.t_end == 0.125 for _, _, config in cases)
         assert configs["ring"].u_max_threshold == 50.0
+        assert configs["ring"].initial == GaussianBump(mass=1.0, width=0.1, center=0.8)
         assert configs["bump"].u_max_threshold is configs["level"].u_max_threshold is None
         assert configs["level"].initial == ConstantData(mass=3.0)
 
@@ -591,7 +592,9 @@ class TestPlanParsing:
         ("0.5", "far gaussian mass=1 width=0.2 center=1.0"),  # bump centre at R
         ("0.5, nan", "bump gaussian mass=1 width=0.2 center=0.0"),
         ("0.5", "bump gaussian mass=1 width=0.2 center=0.0 scheme=semi"),
-        ("0.5", "thin annulus mass=2 r_lo=0.5 r_hi=0.50001"),  # samples to zero mass
+        # r = 0.5 is a face of the 64-cell base grid, 1760 widths from its
+        # nearest Gauss node, so the bump samples to zero mass
+        ("0.5", "thin gaussian mass=2 width=1e-6 center=0.5"),
     ])
     def test_invalid_case_config_exits_2_before_out_exists(self, tmp_path, alphas, variant, capsys):
         from radtaxis.cli import main
@@ -600,8 +603,21 @@ class TestPlanParsing:
         (tmp_path / "base.cfg").write_text(config_to_text(make_config()))
         (tmp_path / "p.plan").write_text(f"base = base.cfg\nalphas = {alphas}\nvariant = {variant}\n")
         assert main(["sweep", "--plan", str(tmp_path / "p.plan"), "--out", str(tmp_path / "out")]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        if variant.startswith("thin "):
+            assert "zero sampled mass" in err
         assert not (tmp_path / "out").exists()
+
+    def test_readme_example_plan_parses(self, tmp_path):
+        readme = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")
+        block = next(block for block in readme.split("```")[1::2] if block.lstrip().startswith("base ="))
+        base = (CONFIG_DIR / "default.cfg").as_posix()
+        (tmp_path / "readme.plan").write_text(block.replace("base = default.cfg", f"base = {base}", 1))
+        cases = parse_plan(tmp_path / "readme.plan")
+        assert {data_id for _, data_id, _ in cases} == {"bump", "ring"}
+        assert len(cases) == 10
+        assert all(config.scheme == "implicit" and config.t_end == 1.0 for _, _, config in cases)
 
     @pytest.mark.parametrize("lines,message", [
         ("alphas =\nvariant = a constant mass=1", "at least one alpha"),
@@ -611,8 +627,10 @@ class TestPlanParsing:
         ("alphas = 1\nvariant = a constant mass=1 mass=2", "duplicate key 'initial.mass'"),
         ("alphas = 0.5, 0.5\nvariant = a constant mass=1", "alphas must be distinct"),
         ("alphas = 1\nvariant = a constant mass=1\nworkers = 2", "unknown key 'workers'"),  # --workers only
+        ("alphas = 1\nvariant = ring annulus mass=2 r_lo=0.3 r_hi=0.7",
+         "initial.kind must be one of constant, gaussian, got 'annulus'"),
     ], ids=["no_alphas", "no_variant", "duplicate_id", "not_key_value", "duplicate_key", "duplicate_alpha",
-            "workers"])
+            "workers", "annulus"])
     def test_malformed_plan_exits_2_before_out_exists(self, tmp_path, lines, message, capsys):
         from radtaxis.cli import main
         from radtaxis.model import config_to_text

@@ -1,5 +1,4 @@
 import math
-import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 from radtaxis.errors import ConfigError
 from radtaxis.grid import Geometry, RadialGrid, integrate, unit_ball_volume
 from radtaxis.model import (
-    AnnulusBump,
     BoundaryDatum,
     ConstantData,
     DiffusionLaw,
@@ -103,20 +101,19 @@ class TestSampling:
         assert integrate(profile) == pytest.approx(10.0, rel=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
-    def test_annulus_mass_and_support(self, n):
+    def test_off_centre_bump_mass_and_peak(self, n):
+        # ring data: a bump centred at r = 0.5 of the unit ball
         grid = RadialGrid(Geometry(n=n, R=1.0), 200)
-        profile = sample_initial(AnnulusBump(mass=4.0, r_lo=0.3, r_hi=0.7), grid)
+        profile = sample_initial(GaussianBump(mass=4.0, width=0.1, center=0.5), grid)
         assert np.all(profile.values >= 0.0)
         assert integrate(profile) == pytest.approx(4.0, rel=1e-12)
-        r = grid.center_radii
-        assert np.all(profile.values[(r < 0.25) | (r > 0.75)] == 0.0)
+        assert abs(grid.center_radii[profile.values.argmax()] - 0.5) <= grid.dr
 
     def test_degenerate_width_cannot_normalize(self):
         with pytest.raises(ConfigError):
             sample_initial(GaussianBump(mass=1.0, width=1e-300), self.grid())
 
-    @pytest.mark.parametrize("data", [ConstantData(1e308), GaussianBump(mass=1e308, width=0.025),
-                                      AnnulusBump(mass=1e308, r_lo=0.025, r_hi=0.075)])
+    @pytest.mark.parametrize("data", [ConstantData(1e308), GaussianBump(mass=1e308, width=0.025)])
     def test_overflowing_density_rejected_for_every_kind(self, data):
         # The disk of radius 0.1 has area 0.031, so each density exceeds the largest float.
         with pytest.raises(ConfigError, match="non-finite density"):
@@ -152,7 +149,6 @@ RUN_KEY_VALUES = {
     "t_end": 0.125,
     "cfl_safety": 0.25,
     "u_max_threshold": 500.0,
-    "dt_min": 1e-9,
     "output_stride": 7,
     "lp": (3.0, 1.5),
     "scheme": "implicit",
@@ -162,8 +158,6 @@ KIND_LINES = {
     "constant": ["initial.kind = constant", "initial.mass = 0.1"],
     "gaussian": ["initial.kind = gaussian", "initial.mass = 2.0", "initial.width = 0.25",
                  "initial.center = 0.3"],
-    "annulus": ["initial.kind = annulus", "initial.mass = 4.0", "initial.r_lo = 0.3",
-                "initial.r_hi = 0.7"],
 }
 
 
@@ -210,8 +204,8 @@ class TestConfigParsing:
         assert np.all(level == pytest.approx(2.0 / math.pi))
 
     def test_irrelevant_initial_key_rejected(self, load_text):
-        text = GOOD_CONFIG + "\ninitial.r_lo = 0.1\n"
-        with pytest.raises(ConfigError, match="initial.r_lo"):
+        text = GOOD_CONFIG.replace("initial.kind = gaussian", "initial.kind = constant")
+        with pytest.raises(ConfigError, match="'initial.center' does not apply to initial.kind=constant"):
             load_text(text)
 
     def test_duplicate_key_rejected(self, load_text):
@@ -291,9 +285,12 @@ class TestConfigParsing:
 
 
 def test_every_config_key_is_named_in_the_readme():
+    # ... and every key of the README's config block is a config key.
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Config files", 1)[1].split("```", 2)[1]
-    assert sorted(_CONFIG_KEYS - set(re.findall(r"[A-Za-z_][\w.]*", block))) == []
+    lines = (line.split("#", 1)[0] for line in block.splitlines())
+    keys = [line.split("=", 1)[0].strip() for line in lines if "=" in line]
+    assert sorted(keys) == sorted(_CONFIG_KEYS)
 
 
 class TestRunConfigValidation:
@@ -318,20 +315,17 @@ class TestRunConfigValidation:
         with pytest.raises(ConfigError):
             self.base(cfl_safety=1.5)
 
-    def test_annulus_must_fit(self):
-        with pytest.raises(ConfigError):
-            self.base(initial=AnnulusBump(mass=1.0, r_lo=0.5, r_hi=1.5))
-
     def test_data_must_have_mass_on_the_grid(self, load_text):
-        # no Gauss node of the 32-cell grid falls inside the annulus
+        # r = 0.5 is a face of the 32-cell grid; its nearest Gauss node is
+        # 3.5e-3 = 3500 widths away, so the bump samples to zero everywhere
         text = "\n".join(l for l in GOOD_CONFIG.replace("cells = 64", "cells = 32").splitlines()
                          if not l.startswith("initial."))
-        text += "\ninitial.kind = annulus\ninitial.mass = 1.0\ninitial.r_lo = 0.5\ninitial.r_hi = 0.50001\n"
+        text += "\ninitial.kind = gaussian\ninitial.mass = 1.0\ninitial.width = 1e-6\ninitial.center = 0.5\n"
         with pytest.raises(ConfigError, match="zero sampled mass"):
             load_text(text)
         assert load_text(text.replace("mass = 1.0", "mass = 0.0")).initial.mass == 0.0
         # A config built in code is checked when its run starts.
-        thin = self.base(initial=AnnulusBump(mass=1.0, r_lo=0.5, r_hi=0.50001))
+        thin = self.base(initial=GaussianBump(mass=1.0, width=1e-6, center=0.5))
         with pytest.raises(ConfigError, match="zero sampled mass"):
             initial_state(thin)
 

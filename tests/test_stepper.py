@@ -310,12 +310,13 @@ class TestStep:
         assert outcome.measurement > 1e-3
         assert outcome.state is None
 
-    def test_dt_underflow(self):
+    def test_a_dt_below_dt_min_still_advances(self):
+        # The floor is the run's (`advance`), not the step's.
         config = make_config(dt_min=1.0)
         state = initial_state(config)
-        outcome = step(state, config, 1e-6)
-        assert outcome.status is StepStatus.DT_UNDERFLOW
-        assert outcome.measurement == pytest.approx(1e-6)
+        for outcome in (step(state, config, 1e-6), implicit_step(state, config, 1e-6)):
+            assert outcome.status is StepStatus.ADVANCED
+            assert outcome.state.dt == 1e-6
 
 
 class TestResolveLimits:
@@ -349,6 +350,16 @@ class TestResolveLimits:
 
 
 class TestAdvance:
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    def test_dt_underflow(self, scheme):
+        config = make_config(dt_min=1.0, scheme=scheme)
+        state = initial_state(config)
+        outcome, final = advance(state, config)
+        assert outcome.status is StepStatus.DT_UNDERFLOW
+        assert 0.0 < outcome.measurement < 1.0
+        assert outcome.state is None
+        assert final is state
+
     def test_zero_horizon_returns_initial_state(self):
         config = make_config(t_end=0.0)
         records = []
