@@ -7,6 +7,7 @@ stdout only.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -25,7 +26,6 @@ from .lab import (
     write_trace_csv,
 )
 from .model import load_config
-from .svg import read_table, render_svg
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -101,9 +101,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     write_sweep_csv(rows, out_dir / "sweep.csv")
     write_sweep_timings(rows, out_dir / "sweep_timings.csv")
     for row in rows:
+        # A crashed or lost case has no timing (NaN), so its line has no wall=.
+        wall = f" wall={row.wall_ms:.0f}ms" if not math.isnan(row.wall_ms) else ""
         detail = f" detail={row.detail}" if row.detail else ""
-        print(f"alpha={row.alpha:g} data={row.data_id} verdict={row.verdict} "
-              f"wall={row.wall_ms:.0f}ms{detail}", file=sys.stderr)
+        print(f"alpha={row.alpha:g} data={row.data_id} verdict={row.verdict}{wall}{detail}",
+              file=sys.stderr)
     failed = any(row.verdict == TOLERANCE_FAILURE for row in rows)
     return EXIT_TOLERANCE if failed else EXIT_OK
 
@@ -117,6 +119,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
+    from .svg import read_table, render_svg  # only plot pays for its import
     table = read_table(args.csv)
     columns = [c.strip() for c in args.cols.split(",") if c.strip()]
     if not columns:

@@ -5,6 +5,7 @@ PASS/FAIL lines. The expensive trajectory and sweep runs are shared through
 module-scoped fixtures.
 """
 import math
+import random
 import time
 from pathlib import Path
 
@@ -78,7 +79,7 @@ def test_criterion_2_elliptic_oracle_n3():
 
 
 def test_criterion_3_max_principle_randomized():
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     M = 1.0
     tol = 1e-12 * M
     gaps = [_max_principle_gaps(RadialGrid(Geometry(n, 1.0), 128), BoundaryDatum(M), 334, rng)

@@ -8,6 +8,7 @@ from xml.dom import minidom
 import numpy as np
 import pytest
 
+from radtaxis import lab
 from radtaxis.cli import main
 from radtaxis.errors import ConfigError
 from radtaxis.grid import RadialGrid
@@ -74,11 +75,13 @@ def config_path(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("command, builds", [("simulate", 2), ("verify", 28)])
+@pytest.mark.parametrize("command, builds", [("simulate", 2), ("verify", 25)])
 def test_a_command_builds_each_grid_once(tmp_path, config_path, grid_builds, command, builds):
     # Reading the config builds one grid to check its data. simulate's run
-    # builds one more; verify builds 23 for its fixed checks and one for each
-    # of its short runs: the horizon probe, two runs and the zero data.
+    # builds one more. verify builds 22 for its fixed checks and one on the
+    # config's cells, which its linearity checks, its t = 0 state, its first
+    # short run, the zero data and the twin share; the determinism rerun
+    # builds its own.
     argv = ["--config", str(config_path)] + (["--out", str(tmp_path / "o")] if command == "simulate" else [])
     assert main([command] + argv) == 0
     assert len(grid_builds) == builds
@@ -261,6 +264,30 @@ def test_ball_of_dimension_100_still_runs(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
+def test_cli_import_leaves_svg_unloaded():
+    # Only plot renders a chart, so no other command compiles svg.py.
+    script = "import sys, radtaxis.cli; print('radtaxis.svg' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
+
+
+def test_verify_leaves_numpy_random_unloaded():
+    # verify draws its random inputs from the standard library's generator;
+    # numpy.random costs megabytes of resident memory to import. numpy
+    # releases before 2.0 import numpy.random with numpy itself.
+    script = ("import sys, numpy; loaded = 'numpy.random' in sys.modules; "
+              "from radtaxis.cli import main; "
+              "code = main(['verify', '--config', 'configs/default.cfg']); "
+              "print(loaded, code, 'numpy.random' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                            cwd=ROOT, capture_output=True, text=True, check=True)
+    loaded_by_numpy, code, loaded = result.stdout.split()[-3:]
+    if loaded_by_numpy == "True":
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert (code, loaded) == ("0", "False")
+
+
 def test_cli_import_loads_no_process_pool():
     # A sweep forks its workers itself; no command pays for a pool's imports.
     script = ("import sys, radtaxis.cli; "
@@ -320,6 +347,26 @@ class TestSweepCommand:
         assert main(["sweep", "--plan", str(plan), "--out", str(out), "--workers", workers]) == 2
         assert "workers must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_crashed_case_line_has_no_wall_time(self, tmp_path, config_path, monkeypatch, capsys):
+        # A crashed case has no timing: its stderr line leaves wall= out,
+        # and sweep_timings.csv keeps its nan field.
+        plan = tmp_path / "sweep.plan"
+        plan.write_text(
+            f"base = {config_path.name}\n"
+            "alphas = 0.5\n"
+            "variant = bump gaussian mass=2 width=0.25 center=0.0\n"
+        )
+
+        def crash(case):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setattr(lab, "_sweep_case", crash)
+        out = tmp_path / "out"
+        assert main(["sweep", "--plan", str(plan), "--out", str(out), "--workers", "1"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["alpha=0.5 data=bump verdict=tolerance_failure detail=ZeroDivisionError: boom"]
+        assert (out / "sweep_timings.csv").read_text().splitlines()[1] == "0.5,bump,nan"
 
     @pytest.mark.parametrize("cpus,forks", [(3, 2), (None, 0)])
     def test_default_worker_count_is_the_cpu_count(self, tmp_path, config_path, monkeypatch, cpus, forks):

@@ -252,6 +252,21 @@ class TestVerifySuite:
         assert "trajectory_determinism" in names
         assert "separation_growth" in names
 
+    def test_oracle_order_slope_matches_polyfit(self):
+        # The closed-form slope against numpy's least-squares fit, on the
+        # errors that signal_oracle_n1_order fits.
+        ladder = (64, 128, 256, 512)
+        errors = [lab._oracle_error(1, 1.0, cells, lab._exact_n1) for cells in ladder]
+        reference = np.polyfit(np.log(1.0 / np.asarray(ladder, float)), np.log(errors), 1)[0]
+        assert lab._ls_order(ladder, errors) == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+    def test_slope_of_a_noisy_line_matches_polyfit(self):
+        rng = np.random.default_rng(5)
+        x = np.sort(rng.uniform(0.0, 3.0, 300))
+        y = -1.3 * x + 0.7 + rng.normal(0.0, 0.1, 300)
+        reference = np.polyfit(x, y, 1)[0]
+        assert lab._ls_slope(x, y) == pytest.approx(reference, rel=1e-12, abs=0.0)
+
     def test_check_line_format(self):
         config = make_config(cells=64, t_end=1e-3)
         line = verify_suite(config)[0].line()
