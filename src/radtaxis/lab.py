@@ -9,6 +9,7 @@ distinguish genuine singularity formation from resolution exhaustion.
 """
 from __future__ import annotations
 
+import gc
 import math
 import os
 import pickle
@@ -552,6 +553,10 @@ def run_sweep(cases: Sequence[tuple[float, str, RunConfig]], workers: int) -> li
     crashing case becomes a tolerance_failure row naming the exception, and
     a case whose worker died one naming the worker's exit status; the sweep
     continues either way. Needs `os.fork`, so POSIX only.
+
+    The heap is frozen (`gc.freeze`) while the sweep runs, so no collection
+    in a worker or in this process walks, and so writes to, the pages they
+    share. Whatever a caller froze before is unfrozen with it on return.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -562,6 +567,7 @@ def run_sweep(cases: Sequence[tuple[float, str, RunConfig]], workers: int) -> li
     os.set_blocking(tickets[0], False)  # before the forks, so every worker stops on an empty pipe
     children: dict[int, int] = {}  # pid -> read end of its row pipe
     statuses: dict[int, int] = {}
+    gc.freeze()
     try:
         for _ in range(min(workers, len(cases)) - 1):
             pid, read_end = _fork_worker(cases, tickets, ahead)
@@ -575,6 +581,7 @@ def run_sweep(cases: Sequence[tuple[float, str, RunConfig]], workers: int) -> li
                     rows[index] = row
             statuses[pid] = os.waitpid(pid, 0)[1]
     finally:
+        gc.unfreeze()
         for pid in children.keys() - statuses.keys():  # this process is raising: end its workers
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)

@@ -12,10 +12,15 @@ step.
 
 One implicit step (`implicit_step`, config `scheme = implicit`) freezes
 D(u_face) and the drift at the old level and solves the backward-Euler
-system of the same donor-split rates. Its matrix is an M-matrix whose every
-column sums to V_j / dt, so the update is nonnegative and conserves mass at
-any dt (Saito, IMA J. Numer. Anal. 27, 2007); dt is then set for accuracy
-by a controller on the relative sup-norm change per step (`advance`).
+system of the same donor-split rates for the increment over the step. Its
+matrix is an M-matrix whose every column sums to V_j / dt, and its
+right-hand side is a telescoping flux difference, so the increment carries
+no mass up to round-off on the increment itself, at any N and any dt. In
+exact arithmetic u plus the increment is the backward-Euler update, which
+is nonnegative at any dt (Saito, IMA J. Numer. Anal. 27, 2007); in floating
+point a cell at zero can land a round-off below it, and that goes through
+the same clip and repair as an explicit step's. dt is set for accuracy by a
+controller on the relative sup-norm change per step (`advance`).
 
 Both schemes share the tail of a step: finiteness check, clip and repair,
 threshold check, signal solve. Every end of a run is a StepOutcome, never
@@ -230,26 +235,37 @@ def _implicit_solve(u: RadialProfile, dt: float, left: np.ndarray,
                     right: np.ndarray) -> tuple[np.ndarray, int]:
     """The density after dt from the backward-Euler system, and dgtsv's info.
 
-    dgtsv works in place on the matrix (which overwrites left and right)
-    and on the right-hand side, a new array that becomes the density.
+    Solves (V/dt + A) delta = flux[1:] - flux[:-1], with the fluxes of u at
+    the rates `left` and `right`, and returns u + delta, a new array. The
+    flux is formed before the matrix overwrites left and right.
     """
     grid = u.grid
+    values = u.values
+    flux = np.multiply(right, values[1:], out=grid.face_work[1])
+    flux -= np.multiply(left, values[:-1], out=grid.cell_work[1][:-1])
+    delta = np.empty(grid.n_cells)
+    delta[:-1] = flux
+    delta[-1] = 0.0
+    delta[1:] -= flux
     lower, diagonal, upper = _implicit_matrix(grid, dt, left, right)
-    rhs = grid.volumes * u.values
-    np.divide(rhs, dt, out=rhs)
-    _, _, _, u_new, info = dgtsv(lower, diagonal, upper, rhs,
+    _, _, _, delta, info = dgtsv(lower, diagonal, upper, delta,
                                  overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)
-    return u_new, info
+    delta += values
+    return delta, info
 
 
 def implicit_step(state: SimState, config: RunConfig, dt: float) -> StepOutcome:
     """One linearly implicit step at the supplied dt.
 
-    Solves (V/dt + A) u_new = V u / dt with LAPACK dgtsv. The matrix
-    is column diagonally dominant, so dgtsv never swaps rows and every
-    operation of the solve combines nonnegative numbers: u_new >= 0 at any
-    dt. An attempt whose relative sup-norm change exceeds IMPLICIT_TOL is
-    REJECTED and leaves the state as it was.
+    Solves (V/dt + A) delta = flux[1:] - flux[:-1] with LAPACK dgtsv and
+    takes u + delta (`_implicit_solve`). The matrix is column diagonally
+    dominant, so dgtsv never swaps rows. In exact arithmetic u + delta is
+    the backward-Euler update (V/dt + A) u_new = V u / dt, nonnegative at
+    any dt, but delta combines numbers of both signs: a cell near zero can
+    undershoot by round-off, which `_accept` clips and repairs, and past
+    _NEG_CLIP_REL of the peak is a NUMERICAL_FAILURE. An attempt whose
+    relative sup-norm change exceeds IMPLICIT_TOL is REJECTED and leaves
+    the state as it was.
     """
     u = state.u
     values = u.values

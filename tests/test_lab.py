@@ -1,4 +1,5 @@
 import errno
+import gc
 import math
 import os
 import select
@@ -307,13 +308,15 @@ def trivial_row(case):
 class TestSweep:
     @pytest.fixture(autouse=True)
     def no_child_left(self):
-        """Every worker a sweep forks is reaped, and every pipe it opens is
-        closed, before the sweep returns."""
+        """Every worker a sweep forks is reaped, every pipe it opens is
+        closed, and the heap it froze is unfrozen, before the sweep returns
+        or raises."""
         open_fds = set(os.listdir("/proc/self/fd"))
         yield
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert set(os.listdir("/proc/self/fd")) == open_fds
+        assert gc.get_freeze_count() == 0
 
     def test_plan_sorts_alphas_and_variants(self, tmp_path):
         cases = parse_plan(plan_file(tmp_path, "alphas = 0.5, 0.0", "variant = flat constant mass=1",
@@ -373,13 +376,33 @@ class TestSweep:
 
     def test_failed_fork_leaks_no_pipe(self, monkeypatch):
         # The autouse fixture checks that the row pipe made for the worker
-        # that could not be forked is closed, and the ticket pipe with it.
+        # that could not be forked is closed, and the ticket pipe with it,
+        # and that the heap is unfrozen.
         def failing_fork():
             raise OSError(errno.EAGAIN, "no process to spare")
 
         monkeypatch.setattr(os, "fork", failing_fork)
         with pytest.raises(OSError, match="no process to spare"):
             run_sweep(small_plan(), 2)
+
+    def test_workers_fork_from_a_frozen_heap(self, monkeypatch, tmp_path):
+        parent = os.getpid()
+        forked = tmp_path / "forked"
+
+        def freeze_count_row(case):
+            if os.getpid() == parent:
+                # Hold this process's first case until a forked worker has run one.
+                deadline = time.monotonic() + 30.0
+                while not forked.exists() and time.monotonic() < deadline:
+                    time.sleep(0.001)
+            else:
+                forked.touch()
+            return lab.SweepRow(case[0], case[1], BOUNDED, 0.0, 0.0, gc.get_freeze_count(), 0.0, str(os.getpid()))
+
+        monkeypatch.setattr(lab, "_sweep_case", freeze_count_row)
+        rows = run_sweep(small_plan(), 2)
+        forked_rows = [row for row in rows if row.detail != str(parent)]
+        assert forked_rows and all(row.steps > 0 for row in forked_rows)
 
     def test_killed_worker_loses_only_its_case(self, monkeypatch, tmp_path):
         serial = untimed(run_sweep(small_plan(), 1))
