@@ -144,7 +144,6 @@ class CaseReport:
     records: list[TraceRecord]
     verdict: Verdict
     peak_linf: float
-    terminal_status: StepStatus
     terminal_t: float
     steps: int
     wall_time_s: float
@@ -196,7 +195,6 @@ def run_case(config: RunConfig, state0: SimState | None = None) -> CaseReport:
         records=records,
         verdict=verdict,
         peak_linf=peak,
-        terminal_status=outcome.status,
         terminal_t=final_state.t,
         steps=final_state.step_index,
         wall_time_s=time.perf_counter() - start,

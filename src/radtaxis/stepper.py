@@ -26,7 +26,7 @@ Both schemes share the tail of a step: finiteness check, clip and repair,
 threshold check, signal solve. Every end of a run is a StepOutcome, never
 an exception: dt collapse and sup-norm runaway, which double as the
 blow-up detector, a numerical failure, and a recorder that names a failed
-check (CHECK_FAILED). The dt floor is the run's: the marches end a run
+check (CHECK_FAILED). The dt floor is the run's: `advance` ends a run
 whose next dt falls below it, and a single step takes any dt.
 
 The kernels form their intermediates in the work arrays of the state's grid
@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -322,11 +322,7 @@ def _accept(state: SimState, config: RunConfig, dt: float, u_new: np.ndarray,
         return StepOutcome(StepStatus.THRESHOLD_EXCEEDED, measurement=linf_new,
                            message=f"sup norm {linf_new:.6e} exceeded threshold {threshold:.6e}")
 
-    # u_new is a new float array of the grid's shape, so the profile skips
-    # RadialProfile's checks.
-    u_profile = object.__new__(RadialProfile)
-    u_profile.grid = grid
-    u_profile.values = u_new
+    u_profile = RadialProfile(grid, u_new)
     try:
         elliptic = solve_v(u_profile, config.boundary)
     except RadtaxisError as exc:
@@ -365,7 +361,7 @@ def resolve_limits(config: RunConfig, state: SimState, first_dt: float) -> RunCo
 
     u_max_threshold defaults to 1e6 * ||u0||_inf (unbounded for zero data)
     and dt_min to 1e-12 * the first stable dt. A zero or NaN first dt (from a
-    non-finite drift) leaves dt_min unset, so the marches apply no floor;
+    non-finite drift) leaves dt_min unset, so `advance` applies no floor;
     `step` then fails on the update.
     """
     threshold = config.u_max_threshold
@@ -378,69 +374,26 @@ def resolve_limits(config: RunConfig, state: SimState, first_dt: float) -> RunCo
     return replace(config, u_max_threshold=threshold, dt_min=dt_min)
 
 
-def _explicit_march(state: SimState, config: RunConfig) -> Iterator[StepOutcome]:
-    """Explicit steps at cfl_safety times each state's positivity bound,
-    until one falls below dt_min (None meaning zero); `advance` stops at the
-    first outcome that is not ADVANCED."""
-    dt_min = config.dt_min or 0.0
-    while state.t < config.t_end:
-        flux, bound = face_flux(state.u, state.elliptic.vr_faces, config.diffusion)
-        dt = config.cfl_safety * bound
-        if dt < dt_min:
-            yield StepOutcome(StepStatus.DT_UNDERFLOW, measurement=dt,
-                              message=f"dt {dt:.3e} fell below dt_min {dt_min:.3e}")
-            return
-        outcome = step(state, config, dt, flux)
-        yield outcome
-        state = outcome.state
-
-
-def _implicit_march(state: SimState, config: RunConfig, dt: float) -> Iterator[StepOutcome]:
-    """Implicit steps under the sup-norm-change controller.
-
-    dt starts at `advance`'s first dt and never exceeds
-    t_end / IMPLICIT_MIN_STEPS. A rejected attempt halves it; an
-    accepted step scales it by min(2, 0.9 IMPLICIT_TOL / change). A dt that
-    covers the rest of the horizon is cut to it, and one that would leave
-    less than itself is cut to half of it, so no step is a round-off sliver.
-    The last step lands on t_end exactly: the cap keeps t >= t_end / 2
-    there, where t_end - t is exact (Sterbenz) and t + (t_end - t) rounds
-    to t_end. A cut dt below dt_min (None meaning zero) ends the run. Yields
-    accepted steps and the outcome that ends the run.
-    """
-    dt_min = config.dt_min or 0.0
-    dt_max = config.t_end / IMPLICIT_MIN_STEPS
-    while state.t < config.t_end:
-        remaining = config.t_end - state.t
-        dt = min(dt, dt_max)
-        if dt >= remaining:
-            dt = remaining
-        elif 2.0 * dt > remaining:
-            dt = 0.5 * remaining
-        if dt < dt_min:
-            yield StepOutcome(StepStatus.DT_UNDERFLOW, measurement=dt,
-                              message=f"dt {dt:.3e} fell below dt_min {dt_min:.3e}")
-            return
-        outcome = implicit_step(state, config, dt)
-        if outcome.status is StepStatus.REJECTED:
-            dt *= 0.5
-            continue
-        yield outcome
-        state = outcome.state
-        change = outcome.measurement
-        dt *= min(2.0, 0.9 * IMPLICIT_TOL / change) if change > 0.0 else 2.0
-
-
 def advance(state: SimState, config: RunConfig, recorder: Recorder | None = None) -> tuple[StepOutcome, SimState]:
     """March to t_end, the sup-norm threshold, dt underflow, or a recorder stop.
 
-    One start-up serves both schemes: the first stable dt resolves the
-    limits (`resolve_limits`) and is the implicit march's first dt. The
-    recorder fires at t = 0, every output_stride accepted steps, and at
-    termination.
-    A recorder returns None to continue, or a reason that ends the run at
-    the recorded state as CHECK_FAILED, even on the record after a
-    non-advancing step. Identical configs yield bit-identical trajectories
+    One loop serves both schemes. The first stable dt resolves the limits
+    (`resolve_limits`); a dt below the resolved dt_min (None meaning zero)
+    ends the run as DT_UNDERFLOW. An explicit step takes cfl_safety times
+    its state's positivity bound. An implicit step takes the controller's
+    dt, which starts at the first stable dt and never exceeds
+    t_end / IMPLICIT_MIN_STEPS. A REJECTED attempt halves it and retries the
+    same state; an accepted step scales it by min(2, 0.9 IMPLICIT_TOL /
+    change). An implicit dt that covers the rest of the horizon is cut to
+    it, and one that would leave less than itself is cut to half of it, so
+    no step is a round-off sliver. The last step lands on t_end exactly: the
+    cap keeps t >= t_end / 2 there, where t_end - t is exact (Sterbenz) and
+    t + (t_end - t) rounds to t_end.
+
+    The recorder fires at t = 0, every output_stride accepted steps, and at
+    termination. A recorder returns None to continue, or a reason that ends
+    the run at the recorded state as CHECK_FAILED, even on the record after
+    a non-advancing step. Identical configs yield bit-identical trajectories
     and recorder streams.
     """
 
@@ -452,13 +405,36 @@ def advance(state: SimState, config: RunConfig, recorder: Recorder | None = None
     if reason is None:
         dt = cfl_dt(state.u, state.elliptic.vr_faces, config.diffusion, config.cfl_safety)
         resolved = resolve_limits(config, state, dt)
-        march = (_implicit_march(state, resolved, dt) if config.scheme == "implicit"
-                 else _explicit_march(state, resolved))
-        for outcome in march:
+        dt_min = resolved.dt_min or 0.0
+        implicit = config.scheme == "implicit"
+        t_end = config.t_end
+        dt_max = t_end / IMPLICIT_MIN_STEPS
+        while state.t < t_end:
+            if implicit:
+                remaining = t_end - state.t
+                dt = min(dt, dt_max)
+                if dt >= remaining:
+                    dt = remaining
+                elif 2.0 * dt > remaining:
+                    dt = 0.5 * remaining
+            else:
+                flux, bound = face_flux(state.u, state.elliptic.vr_faces, config.diffusion)
+                dt = config.cfl_safety * bound
+            if dt < dt_min:
+                stop = StepOutcome(StepStatus.DT_UNDERFLOW, measurement=dt,
+                                   message=f"dt {dt:.3e} fell below dt_min {dt_min:.3e}")
+                break
+            outcome = implicit_step(state, resolved, dt) if implicit else step(state, resolved, dt, flux)
+            if outcome.status is StepStatus.REJECTED:
+                dt *= 0.5
+                continue
             if outcome.status is not StepStatus.ADVANCED:
                 stop = outcome
                 break
             state = outcome.state
+            if implicit:
+                change = outcome.measurement
+                dt *= min(2.0, 0.9 * IMPLICIT_TOL / change) if change > 0.0 else 2.0
             if state.step_index % config.output_stride == 0:
                 reason = record(state)
                 if reason is not None:

@@ -40,7 +40,7 @@ from radtaxis.model import (
     config_to_text,
     load_config,
 )
-from radtaxis.stepper import SimState, StepStatus, face_flux, initial_state, make_record
+from radtaxis.stepper import SimState, face_flux, initial_state, make_record
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -66,7 +66,6 @@ class TestRunCase:
         report = run_case(make_config(initial=ConstantData(0.0), t_end=0.01, cells=32))
         assert report.verdict.kind == BOUNDED
         assert report.peak_linf == 0.0
-        assert report.terminal_status is StepStatus.ADVANCED
         assert all(check.passed for check in report.checks)
 
     def test_threshold_case_is_blowup_suspected(self):
@@ -87,7 +86,6 @@ class TestRunCase:
 
         monkeypatch.setattr(stepper, "solve_v", failing_third)
         report = run_case(make_config())
-        assert report.terminal_status is StepStatus.NUMERICAL_FAILURE
         assert report.verdict.kind == TOLERANCE_FAILURE
         assert report.verdict.detail == "numerical_failure: signal solve failed: injected"
         assert report.steps == 1
@@ -112,12 +110,12 @@ class TestRunCase:
         config = replace(load_config(CONFIG_DIR / "default.cfg"), t_end=0.01, output_stride=10**6)
         report = run_case(config)
         assert [r.t for r in report.records] == [0.0, report.terminal_t]
-        assert report.terminal_status is StepStatus.ADVANCED
         assert report.verdict.kind == INCONCLUSIVE
 
-    def test_failed_check_ends_the_run(self, monkeypatch):
-        # The drift is exactly zero on the first records, so a zero tolerance
-        # fails the mass check on a later one.
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    def test_failed_check_ends_the_run(self, monkeypatch, scheme):
+        # The drift is exactly zero at t = 0, so a zero tolerance fails the
+        # mass check on a later record: step 10 explicit, step 5 implicit.
         monkeypatch.setattr(lab, "MASS_DRIFT_TOL", 0.0)
         observed = []
         observe = OnlineChecker.observe
@@ -127,13 +125,12 @@ class TestRunCase:
             return observe(self, record, state)
 
         monkeypatch.setattr(OnlineChecker, "observe", spy)
-        report = run_case(make_config())
+        report = run_case(make_config(scheme=scheme))
         assert report.verdict.kind == TOLERANCE_FAILURE
         assert report.verdict.detail == "mass_conservation"
         assert observed[-1] > 0
         assert report.steps == observed[-1]
         assert report.verdict.t_star == report.terminal_t == report.records[-1].t
-        assert report.terminal_status is StepStatus.CHECK_FAILED
         assert [c.name for c in report.checks if not c.passed] == ["mass_conservation"]
 
     def test_check_failing_after_threshold_stop_preempts_blowup(self, monkeypatch):
@@ -154,7 +151,6 @@ class TestRunCase:
         report = run_case(config)
         assert report.verdict.kind == TOLERANCE_FAILURE
         assert report.verdict.detail == "positivity"
-        assert report.terminal_status is StepStatus.CHECK_FAILED
         assert report.steps == stop.steps
         assert report.terminal_t == stop.terminal_t
         assert len(report.records) == len(stop.records)

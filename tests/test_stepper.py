@@ -377,20 +377,22 @@ class TestAdvance:
         assert final.t >= config.t_end
         assert np.all(final.u.values == 0.0)
 
-    def test_recorder_cadence(self):
-        config = make_config(output_stride=7, t_end=5e-4, cells=32)
-        records = []
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    def test_recorder_cadence(self, scheme):
+        # 24 explicit and 41 implicit steps: both runs record at 7, 14 and 21
+        # and end off the stride.
+        config = make_config(output_stride=7, t_end=7e-3, cells=32, scheme=scheme)
+        steps = []
         outcome, final = advance(initial_state(config), config,
-                                 lambda rec, st: records.append((rec, st.step_index)))
-        steps = [idx for _, idx in records]
-        assert steps[0] == 0
-        assert steps[-1] == final.step_index
-        for idx in steps[1:-1]:
-            assert idx % 7 == 0
-        assert len(set(steps)) == len(steps)
+                                 lambda rec, st: steps.append(st.step_index))
+        assert outcome.status is StepStatus.ADVANCED
+        assert final.step_index % 7 != 0
+        assert steps == [*range(0, final.step_index, 7), final.step_index]
+        assert steps[1:4] == [7, 14, 21]
 
-    def test_bit_identical_repeat(self):
-        config = make_config(t_end=2e-3)
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    def test_bit_identical_repeat(self, scheme):
+        config = make_config(t_end=2e-3, scheme=scheme)
         runs = []
         for _ in range(2):
             records = []
