@@ -152,9 +152,9 @@ class RunConfig:
 
     u_max_threshold may be left None; it is then resolved at run start as
     1e6 * ||u0||_inf. dt_min is not a config key: `stepper.resolve_limits`
-    sets it to 1e-12 * (first stable dt), the floor below which a run ends
-    in dt underflow. scheme picks the transport step: "explicit" or the
-    linearly "implicit" one.
+    sets it to 1e-12 * min(first stable dt, t_end), the floor below which a
+    run ends in dt underflow. scheme picks the transport step: "explicit" or
+    the linearly "implicit" one.
     """
 
     geometry: Geometry

@@ -26,8 +26,8 @@ Both schemes share the tail of a step: finiteness check, clip and repair,
 threshold check, signal solve. Every end of a run is a StepOutcome, never
 an exception: dt collapse and sup-norm runaway, which double as the
 blow-up detector, a numerical failure, and a recorder that names a failed
-check (CHECK_FAILED). The dt floor is the run's: `advance` ends a run
-whose next dt falls below it, and a single step takes any dt.
+check (CHECK_FAILED). `advance` owns the dt floor and the horizon cut for
+both schemes; a single step takes any dt.
 
 The kernels form their intermediates in the work arrays of the state's grid
 (`RadialGrid.face_work` and `cell_work`), so a step allocates only the new
@@ -360,9 +360,9 @@ def resolve_limits(config: RunConfig, state: SimState, first_dt: float) -> RunCo
     """Fill in the default blow-up triggers relative to the initial state.
 
     u_max_threshold defaults to 1e6 * ||u0||_inf (unbounded for zero data)
-    and dt_min to 1e-12 * the first stable dt. A zero or NaN first dt (from a
-    non-finite drift) leaves dt_min unset, so `advance` applies no floor;
-    `step` then fails on the update.
+    and dt_min to 1e-12 * first_dt; `advance` passes min(first stable dt,
+    t_end). A zero or NaN first dt (from a non-finite drift) leaves dt_min
+    unset, so `advance` applies no floor; `step` then fails on the update.
     """
     threshold = config.u_max_threshold
     if threshold is None:
@@ -377,18 +377,18 @@ def resolve_limits(config: RunConfig, state: SimState, first_dt: float) -> RunCo
 def advance(state: SimState, config: RunConfig, recorder: Recorder | None = None) -> tuple[StepOutcome, SimState]:
     """March to t_end, the sup-norm threshold, dt underflow, or a recorder stop.
 
-    One loop serves both schemes. The first stable dt resolves the limits
-    (`resolve_limits`); a dt below the resolved dt_min (None meaning zero)
-    ends the run as DT_UNDERFLOW. An explicit step takes cfl_safety times
-    its state's positivity bound. An implicit step takes the controller's
-    dt, which starts at the first stable dt and never exceeds
-    t_end / IMPLICIT_MIN_STEPS. A REJECTED attempt halves it and retries the
-    same state; an accepted step scales it by min(2, 0.9 IMPLICIT_TOL /
-    change). An implicit dt that covers the rest of the horizon is cut to
-    it, and one that would leave less than itself is cut to half of it, so
-    no step is a round-off sliver. The last step lands on t_end exactly: the
-    cap keeps t >= t_end / 2 there, where t_end - t is exact (Sterbenz) and
-    t + (t_end - t) rounds to t_end.
+    One loop serves both schemes. An explicit step proposes cfl_safety times
+    its state's positivity bound; an implicit one the controller's dt, which
+    starts at the first stable dt, never exceeds t_end / IMPLICIT_MIN_STEPS,
+    halves on a REJECTED attempt (a retry of the same state) and scales by
+    min(2, 0.9 IMPLICIT_TOL / change) on an accepted one. A proposed dt below
+    dt_min (`resolve_limits`; None meaning zero) ends the run as DT_UNDERFLOW.
+    Then one rule cuts either scheme's dt: to the rest of the horizon if it
+    covers it, to half the rest if it would leave less than itself. So no
+    step passes t_end or is a round-off sliver, and a cut dt is no collapse.
+    The last step lands on t_end exactly if t >= t_end / 2 before it, where
+    t_end - t is exact (Sterbenz): the implicit cap ensures it; an explicit run
+    meets it unless, from t > 0, one stable dt covers over half the horizon.
 
     The recorder fires at t = 0, every output_stride accepted steps, and at
     termination. A recorder returns None to continue, or a reason that ends
@@ -404,19 +404,14 @@ def advance(state: SimState, config: RunConfig, recorder: Recorder | None = None
     stop = None
     if reason is None:
         dt = cfl_dt(state.u, state.elliptic.vr_faces, config.diffusion, config.cfl_safety)
-        resolved = resolve_limits(config, state, dt)
+        t_end = config.t_end
+        resolved = resolve_limits(config, state, min(dt, t_end))
         dt_min = resolved.dt_min or 0.0
         implicit = config.scheme == "implicit"
-        t_end = config.t_end
         dt_max = t_end / IMPLICIT_MIN_STEPS
         while state.t < t_end:
             if implicit:
-                remaining = t_end - state.t
                 dt = min(dt, dt_max)
-                if dt >= remaining:
-                    dt = remaining
-                elif 2.0 * dt > remaining:
-                    dt = 0.5 * remaining
             else:
                 flux, bound = face_flux(state.u, state.elliptic.vr_faces, config.diffusion)
                 dt = config.cfl_safety * bound
@@ -424,6 +419,11 @@ def advance(state: SimState, config: RunConfig, recorder: Recorder | None = None
                 stop = StepOutcome(StepStatus.DT_UNDERFLOW, measurement=dt,
                                    message=f"dt {dt:.3e} fell below dt_min {dt_min:.3e}")
                 break
+            remaining = t_end - state.t
+            if dt >= remaining:
+                dt = remaining
+            elif 2.0 * dt > remaining:
+                dt = 0.5 * remaining
             outcome = implicit_step(state, resolved, dt) if implicit else step(state, resolved, dt, flux)
             if outcome.status is StepStatus.REJECTED:
                 dt *= 0.5

@@ -260,8 +260,10 @@ def test_ball_whose_inner_cells_underflow_exits_2_before_out_exists(tmp_path, co
 
 
 def test_ball_of_dimension_100_still_runs(tmp_path):
+    # The first stable dt is 8.4e12 here, and the run still stops on t_end.
     cfg = edited_default(tmp_path / "n100.cfg", {**CONSTANT_DATA, "n": "100", "t_end": "0.0001"})
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert "terminal_t = 0.0001\n" in (tmp_path / "o" / "report.txt").read_text()
 
 
 def test_cli_import_leaves_svg_unloaded():

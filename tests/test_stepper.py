@@ -374,8 +374,34 @@ class TestAdvance:
         config = make_config(initial=ConstantData(0.0), t_end=0.05, cells=32)
         outcome, final = advance(initial_state(config), config)
         assert outcome.status is StepStatus.ADVANCED
-        assert final.t >= config.t_end
+        assert final.t == config.t_end
         assert np.all(final.u.values == 0.0)
+
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    def test_tiny_ball_stops_on_t_end(self, scheme):
+        # At n = 100 the unit ball's volume is 2.4e-40, so the density is
+        # 8.4e39, D(u) about 1e-20 and the first stable dt 1.3e14, far past
+        # t_end. That dt is cut to the horizon (1 explicit step), and the
+        # implicit cap t_end / 40 lies above the dt floor (40 steps).
+        config = make_config(geometry=Geometry(100, 1.0), initial=ConstantData(2.0),
+                             t_end=1e-4, scheme=scheme)
+        report = run_case(config)
+        assert report.terminal_t == 1e-4
+        assert report.verdict.kind != "blowup_suspected"
+
+    def test_floor_is_checked_before_the_horizon_cut(self):
+        # The first dt would leave less than itself of a 1.5 dt0 horizon, so it
+        # is cut to half the rest, 0.75 dt0, which lies below a 0.8 dt0 floor.
+        base = make_config()
+        state = initial_state(base)
+        dt0 = cfl_dt(state.u, state.elliptic.vr_faces, base.diffusion, base.cfl_safety)
+        config = replace(base, t_end=1.5 * dt0, dt_min=0.8 * dt0)
+        dts = []
+        outcome, final = advance(state, config, lambda rec, st: dts.append(rec.dt))
+        assert outcome.status is StepStatus.ADVANCED
+        assert final.t == config.t_end
+        assert dts[1:] == [0.5 * config.t_end] * 2
+        assert dts[1] == pytest.approx(0.75 * dt0)
 
     @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
     def test_recorder_cadence(self, scheme):
@@ -573,17 +599,20 @@ class TestImplicitStep:
         assert dt3 == 0.5 * dt2
         assert final.step_index == len(calls) - 1
 
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
     @pytest.mark.parametrize("t_end", [0.0123, 1.0 / 3.0])
-    def test_last_step_lands_exactly_on_t_end(self, t_end):
-        config = make_config(scheme="implicit", t_end=t_end, cells=32)
+    def test_last_step_lands_exactly_on_t_end(self, t_end, scheme):
+        config = make_config(scheme=scheme, t_end=t_end, cells=32)
         records = []
         outcome, final = advance(initial_state(config), config, lambda rec, st: records.append(rec))
         assert outcome.status is StepStatus.ADVANCED
         assert final.t == t_end
         assert records[-1].t == t_end
-        # no step exceeds the cap, and no round-off sliver is left at the end
+        # no implicit step exceeds the cap, and no round-off sliver is left at
+        # the end
         dts = [rec.dt for rec in records[1:]]
-        assert max(dts) <= t_end / IMPLICIT_MIN_STEPS
+        if scheme == "implicit":
+            assert max(dts) <= t_end / IMPLICIT_MIN_STEPS
         assert dts[-1] >= 0.25 * max(dts[-3:])
 
     def test_threshold_and_underflow_end_an_implicit_run(self):
