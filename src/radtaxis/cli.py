@@ -12,6 +12,15 @@ import os
 import sys
 from pathlib import Path
 
+# numpy's and scipy's OpenBLAS each read this once, when they load, so it is
+# set before the first import below that loads numpy. One thread, for two
+# reasons. Above n = 10,000 OpenBLAS splits a ddot across its threads, so a
+# sum over a finer grid would depend on the host's core count. And below that
+# radtaxis calls nothing that OpenBLAS threads, so each library's worker
+# thread would only busy-wait on a CPU that this process or a sweep worker
+# needs. A value the user has set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import ConfigError, RadtaxisError
 from .grid import write_state_csv
 from .lab import (

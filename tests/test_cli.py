@@ -299,6 +299,39 @@ def test_cli_import_loads_no_process_pool():
     assert result.stdout.strip() == "[]"
 
 
+def test_fine_grid_output_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # Above n = 10,000 OpenBLAS splits a ddot across its threads, so with
+    # more than one CPU its thread count would move the last bits of a mass
+    # or an Lp norm at 16,384 cells. The command line runs OpenBLAS on one
+    # thread unless the environment says otherwise, so a run that leaves
+    # OPENBLAS_NUM_THREADS unset and one that sets it to 1 write the same
+    # bytes. One step of 1e-10 writes both snapshots.
+    cfg = edited_default(tmp_path / "fine.cfg", {"cells": "16384", "t_end": "1e-10"})
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    outputs = []
+    for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        out = tmp_path / f"out{len(outputs)}"
+        subprocess.run([sys.executable, "-m", "radtaxis", "simulate", "--config", str(cfg), "--out", str(out)],
+                       env={**env, **extra}, capture_output=True, check=True)
+        report = [line for line in (out / "report.txt").read_text().splitlines()
+                  if not line.startswith("wall_s = ")]
+        assert "steps = 1" in report
+        outputs.append([report] + [(out / name).read_bytes()
+                                   for name in ("trace.csv", "snapshot_initial.csv", "snapshot_final.csv")])
+    assert outputs[0] == outputs[1]
+
+    # Importing the command line starts no thread (counted on Linux only),
+    # and a value the user set is kept.
+    script = ("import os, radtaxis.cli; tasks = '/proc/self/task'; "
+              "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir(tasks)) if os.path.isdir(tasks) else 1)")
+    unset, user_set = (subprocess.run([sys.executable, "-c", script], env={**env, **extra}, capture_output=True,
+                                      text=True, check=True).stdout.split()
+                       for extra in ({}, {"OPENBLAS_NUM_THREADS": "3"}))
+    assert unset == ["1", "1"]
+    assert user_set[0] == "3"
+
+
 class TestSweepCommand:
     def test_sweep_writes_deterministic_csv(self, tmp_path, config_path):
         plan = tmp_path / "sweep.plan"

@@ -249,6 +249,23 @@ class TestVerifySuite:
         assert "trajectory_determinism" in names
         assert "separation_growth" in names
 
+    def test_failed_zero_data_step_fails_its_check(self, monkeypatch):
+        # A step that fails on zero data is what zero_fixed_point exists to
+        # catch: the suite reports it as a failed check, not an exception.
+        real_step = lab.step
+
+        def failing_on_zero(state, config, dt, flux=None):
+            if not state.u.values.any():
+                return stepper.StepOutcome(stepper.StepStatus.NUMERICAL_FAILURE, message="injected")
+            return real_step(state, config, dt, flux)
+
+        monkeypatch.setattr(lab, "step", failing_on_zero)
+        checks = verify_suite(make_config(cells=64, t_end=1e-3))
+        assert len(checks) == 18
+        zero = next(c for c in checks if c.name == "zero_fixed_point")
+        assert not zero.passed and math.isnan(zero.measured)
+        assert [c.name for c in checks if not c.passed] == ["zero_fixed_point"]
+
     def test_oracle_order_slope_matches_polyfit(self):
         # The closed-form slope against numpy's least-squares fit, on the
         # errors that signal_oracle_n1_order fits.
@@ -353,6 +370,31 @@ class TestSweep:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[0] == "alpha,data_id,verdict,peak_linf,terminal_t,steps,wall_ms"
         assert all(line.endswith(",") for line in lines[1:])
+
+    def test_sweep_forms_no_lp_norm_and_its_table_ignores_lp(self, monkeypatch, tmp_path):
+        # The shipped n = 2 subcritical plan, cut short, from its base (which
+        # sets lp = 2, 4) and from a copy of the base without lp.
+        base = (CONFIG_DIR / "default.cfg").read_text()
+        plain = "".join(line for line in base.splitlines(keepends=True) if not line.startswith("lp "))
+        assert plain != base
+        (tmp_path / "plain.cfg").write_text(plain)
+        plan = (CONFIG_DIR / "sweep_subcritical_n2.plan").read_text().replace("t_end = 1.0", "t_end = 0.02")
+        assert "t_end = 0.02" in plan
+        exponents = []
+        lp_norms = stepper.lp_norms
+
+        def spy(profile, ps):
+            exponents.append(tuple(ps))
+            return lp_norms(profile, ps)
+
+        monkeypatch.setattr(stepper, "lp_norms", spy)
+        tables = []
+        for base_path in (CONFIG_DIR / "default.cfg", tmp_path / "plain.cfg"):
+            (tmp_path / "p.plan").write_text(plan.replace("base = default.cfg", f"base = {base_path}"))
+            write_sweep_csv(run_sweep(parse_plan(tmp_path / "p.plan"), 1), tmp_path / "sweep.csv")
+            tables.append((tmp_path / "sweep.csv").read_bytes())
+        assert tables[0] == tables[1]
+        assert exponents and set(exponents) == {()}
 
     def test_forks_at_most_one_worker_per_case(self, monkeypatch):
         # This process is a worker too, so a sweep forks one fewer than it runs.

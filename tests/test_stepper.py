@@ -456,11 +456,13 @@ class TestAdvance:
         assert 0.0 < final.worst_residual <= 1e-12
 
     def test_threshold_termination_reports_measurement(self):
-        config = make_config(u_max_threshold=8.0, t_end=1.0)
-        outcome, final = advance(initial_state(config), config)
-        # the Gaussian peak is above 8 immediately after the first update check
-        assert outcome.status in (StepStatus.THRESHOLD_EXCEEDED, StepStatus.ADVANCED)
-        if outcome.status is StepStatus.THRESHOLD_EXCEEDED:
+        # The Gaussian's t = 0 peak, 10.17, is above 8, so the first step's
+        # threshold check ends the run under either scheme.
+        for scheme in ("explicit", "implicit"):
+            config = make_config(u_max_threshold=8.0, t_end=1.0, scheme=scheme)
+            outcome, final = advance(initial_state(config), config)
+            assert outcome.status is StepStatus.THRESHOLD_EXCEEDED, scheme
+            assert final.step_index == 0
             assert outcome.measurement > 8.0
 
 
