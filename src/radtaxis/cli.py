@@ -151,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, UnicodeDecodeError) as exc:  # the latter: an input file that is not UTF-8
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -466,33 +466,21 @@ def _fault_row(alpha: float, data_id: str, detail: str) -> SweepRow:
     return SweepRow(alpha, data_id, TOLERANCE_FAILURE, math.nan, math.nan, 0, math.nan, detail)
 
 
-# A case index in the ticket pipe. Fixed width, so one read takes one ticket.
+# The first case of a block in the ticket pipe. Fixed width, so one read takes one ticket.
 _TICKET = struct.Struct("=I")
 
 
-def _tickets(tickets: tuple[int, int], ahead: int, count: int) -> Iterator[int]:
-    """The case indices this worker takes from the shared ticket pipe.
+def _tickets(take: int, block: int, count: int) -> Iterator[int]:
+    """The case indices this worker takes from the read end of the ticket pipe.
 
-    The pipe starts with tickets 0 to `ahead - 1` and its read end does not
-    block. For each ticket it takes, a worker at once puts back the one
-    `ahead` places on while that is still a case, so the pipe never holds
-    more than PIPE_BUF bytes and no write blocks. A worker stops once the
-    pipe is empty. That leaves no ticket behind: a worker that puts one back
-    reads again once its case is done. A worker killed between taking a
-    ticket and putting back the next loses that case's later tickets, which
-    come back as `worker lost:` rows. With `ahead` or more workers, one may
-    stop on a pipe that is only momentarily empty: that costs parallelism,
-    not cases.
+    Every ticket is written, and the write end closed, before the first fork,
+    so a worker reads with a plain blocking read and stops on end of file. A
+    ticket names the first of `block` consecutive cases, so a worker killed
+    inside a block loses the rest of that block.
     """
-    take, give = tickets
-    while True:
-        try:
-            (index,) = _TICKET.unpack(os.read(take, _TICKET.size))
-        except BlockingIOError:
-            return
-        if index + ahead < count:
-            os.write(give, _TICKET.pack(index + ahead))
-        yield index
+    while ticket := os.read(take, _TICKET.size):
+        (first,) = _TICKET.unpack(ticket)
+        yield from range(first, min(first + block, count))
 
 
 def _run_cases(cases: Sequence[tuple[float, str, RunConfig]],
@@ -507,8 +495,7 @@ def _run_cases(cases: Sequence[tuple[float, str, RunConfig]],
         yield index, row
 
 
-def _fork_worker(cases: Sequence[tuple[float, str, RunConfig]], tickets: tuple[int, int],
-                 ahead: int) -> tuple[int, int]:
+def _fork_worker(cases: Sequence[tuple[float, str, RunConfig]], take: int, block: int) -> tuple[int, int]:
     """Fork a worker that sends each (index, row) it finishes, pickled, down
     its own pipe; return its pid and the pipe's read end. The worker leaves
     through `os._exit`, so atexit handlers and stdio buffers run only here."""
@@ -524,7 +511,7 @@ def _fork_worker(cases: Sequence[tuple[float, str, RunConfig]], tickets: tuple[i
         try:
             os.close(read_end)
             with os.fdopen(write_end, "wb") as out:
-                for item in _run_cases(cases, _tickets(tickets, ahead, len(cases))):
+                for item in _run_cases(cases, _tickets(take, block, len(cases))):
                     pickle.dump(item, out)
                     out.flush()
             status = 0
@@ -552,8 +539,9 @@ def run_sweep(cases: Sequence[tuple[float, str, RunConfig]], workers: int) -> li
 
     This process is one worker and forks `min(workers, cases) - 1` more, so
     `workers = 1` forks none; `workers < 1` is a ConfigError. Every worker
-    takes the next case from one shared pipe of tickets, one case at a time,
-    and stops once the pipe is empty. Output is keyed by case, never by
+    takes the next case from one pipe of tickets, all written before the
+    first fork, and stops once the pipe is empty; past 1,024 cases a ticket
+    holds a block of consecutive cases. Output is keyed by case, never by
     completion order, so the table is identical for any worker count. A
     crashing case becomes a tolerance_failure row naming the exception, and
     a case whose worker died one naming the worker's exit status; the sweep
@@ -566,20 +554,23 @@ def run_sweep(cases: Sequence[tuple[float, str, RunConfig]], workers: int) -> li
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     rows: list[SweepRow | None] = [None] * len(cases)
-    ahead = min(len(cases), select.PIPE_BUF // _TICKET.size)
-    tickets = os.pipe()
-    os.write(tickets[1], b"".join(_TICKET.pack(index) for index in range(ahead)))
-    os.set_blocking(tickets[0], False)  # before the forks, so every worker stops on an empty pipe
+    # Cases per ticket, so that one write of every ticket fits in PIPE_BUF and does not block.
+    block = max(1, math.ceil(len(cases) / (select.PIPE_BUF // _TICKET.size)))
     children: dict[int, int] = {}  # pid -> read end of its row pipe
     statuses: dict[int, int] = {}
-    gc.freeze()
+    take, give = os.pipe()
     try:
+        try:
+            os.write(give, b"".join(_TICKET.pack(first) for first in range(0, len(cases), block)))
+        finally:
+            os.close(give)  # before any fork, so no worker holds it and an emptied pipe reads as EOF
+        gc.freeze()
         for _ in range(min(workers, len(cases)) - 1):
-            pid, read_end = _fork_worker(cases, tickets, ahead)
+            pid, read_end = _fork_worker(cases, take, block)
             children[pid] = read_end
-        for index, row in _run_cases(cases, _tickets(tickets, ahead, len(cases))):
+        for index, row in _run_cases(cases, _tickets(take, block, len(cases))):
             rows[index] = row
-        # A worker waiting to send its rows holds no ticket, so they are read only now.
+        # A worker waiting to send its rows holds back no ticket, so they are read only now.
         for pid, read_end in children.items():
             with os.fdopen(read_end, "rb", closefd=False) as stream:
                 for index, row in _unpickle_rows(stream):
@@ -590,7 +581,7 @@ def run_sweep(cases: Sequence[tuple[float, str, RunConfig]], workers: int) -> li
         for pid in children.keys() - statuses.keys():  # this process is raising: end its workers
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for fd in (*tickets, *children.values()):
+        for fd in (take, *children.values()):
             os.close(fd)
     lost = "; ".join(_exit_text(pid, status) for pid, status in statuses.items() if status != 0)
     return [row if row is not None else _fault_row(alpha, data_id, f"worker lost: {lost}")

@@ -259,6 +259,23 @@ def test_ball_whose_inner_cells_underflow_exits_2_before_out_exists(tmp_path, co
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, name", [("verify", "bad.cfg"), ("sweep", "bad.plan"),
+                                           ("sweep", "bad_base.plan"), ("plot", "bad.csv")])
+def test_input_that_is_not_utf8_exits_2_before_out_exists(tmp_path, command, name, capsys):
+    (tmp_path / "bad.cfg").write_bytes(GOOD.encode() + b"n = 2\xff\n")
+    (tmp_path / "bad.plan").write_bytes(b"base = good.cfg\nalphas = 0.5\xff\n")
+    (tmp_path / "bad_base.plan").write_text("base = bad.cfg\nalphas = 0.5\nvariant = flat constant mass=1\n")
+    (tmp_path / "bad.csv").write_bytes(b"t,a\n0,1\xff\n")
+    (tmp_path / "good.cfg").write_text(GOOD)
+    flag = {"verify": "--config", "sweep": "--plan", "plot": "--csv"}[command]
+    out = {"verify": [], "sweep": ["--out", str(tmp_path / "o")],
+           "plot": ["--cols", "a", "--out", str(tmp_path / "o")]}[command]
+    assert main([command, flag, str(tmp_path / name), *out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "utf-8" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_ball_of_dimension_100_still_runs(tmp_path):
     # The first stable dt is 8.4e12 here, and the run still stops on t_end.
     cfg = edited_default(tmp_path / "n100.cfg", {**CONSTANT_DATA, "n": "100", "t_end": "0.0001"})

@@ -4,7 +4,6 @@ import math
 import os
 import select
 import signal
-import struct
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -318,6 +317,39 @@ def trivial_row(case):
     return lab.SweepRow(case[0], case[1], BOUNDED, 0.0, 0.0, 0, 0.0, "")
 
 
+def kill_the_first_forked_case(monkeypatch, tmp_path, sweep_case):
+    """Patch `_sweep_case` to `sweep_case`, except that the first case a
+    forked worker takes kills that worker by SIGKILL, and this process holds
+    its own first case until then. Return the file that the killed worker
+    writes its case's `alpha data_id` to."""
+    parent = os.getpid()
+    killed = tmp_path / "killed"
+
+    def kill_or_run(case):
+        if os.getpid() == parent:
+            # Hold this process's first case until a forked worker has died.
+            deadline = time.monotonic() + 30.0
+            while not killed.exists() and time.monotonic() < deadline:
+                time.sleep(0.001)
+        else:
+            try:
+                fd = os.open(killed, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:
+                return sweep_case(case)
+            os.write(fd, f"{case[0]!r} {case[1]}".encode())
+            os.close(fd)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return sweep_case(case)
+
+    monkeypatch.setattr(lab, "_sweep_case", kill_or_run)
+    return killed
+
+
+def killed_case_index(cases, killed):
+    alpha, data_id = killed.read_text().split()
+    return next(i for i, case in enumerate(cases) if case[:2] == (float(alpha), data_id))
+
+
 class TestSweep:
     @pytest.fixture(autouse=True)
     def no_child_left(self):
@@ -444,77 +476,49 @@ class TestSweep:
 
     def test_killed_worker_loses_only_its_case(self, monkeypatch, tmp_path):
         serial = untimed(run_sweep(small_plan(), 1))
-        parent = os.getpid()
-        killed = tmp_path / "killed"  # holds the key of the case that killed its worker
-        sweep_case = lab._sweep_case
-
-        def kill_the_first_forked_case(case):
-            if os.getpid() == parent:
-                # Hold this process's first case until a forked worker has died.
-                deadline = time.monotonic() + 30.0
-                while not killed.exists() and time.monotonic() < deadline:
-                    time.sleep(0.001)
-            else:
-                try:
-                    fd = os.open(killed, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                except FileExistsError:
-                    return sweep_case(case)
-                os.write(fd, f"{case[0]!r} {case[1]}".encode())
-                os.close(fd)
-                os.kill(os.getpid(), signal.SIGKILL)
-            return sweep_case(case)
-
-        monkeypatch.setattr(lab, "_sweep_case", kill_the_first_forked_case)
+        killed = kill_the_first_forked_case(monkeypatch, tmp_path, lab._sweep_case)
         rows = untimed(run_sweep(small_plan(), 2))
-        alpha, data_id = killed.read_text().split()
-        lost = [i for i, row in enumerate(rows) if (row.alpha, row.data_id) == (float(alpha), data_id)]
-        assert len(rows) == len(serial) and len(lost) == 1
-        assert rows[lost[0]].verdict == TOLERANCE_FAILURE
-        assert rows[lost[0]].detail.startswith("worker lost: worker ")
-        assert rows[lost[0]].detail.endswith(f"killed by signal {signal.SIGKILL.value}")
-        assert rows[:lost[0]] + rows[lost[0] + 1:] == serial[:lost[0]] + serial[lost[0] + 1:]
+        lost = killed_case_index(small_plan(), killed)
+        assert len(rows) == len(serial)
+        assert rows[lost].verdict == TOLERANCE_FAILURE
+        assert rows[lost].detail.startswith("worker lost: worker ")
+        assert rows[lost].detail.endswith(f"killed by signal {signal.SIGKILL.value}")
+        assert rows[:lost] + rows[lost + 1:] == serial[:lost] + serial[lost + 1:]
+
+    def test_killed_worker_loses_the_rest_of_its_block(self, monkeypatch, tmp_path):
+        # One write of every ticket must fit in PIPE_BUF, 1,024 tickets on
+        # Linux, so 1,100 cases go out as 550 tickets of two cases each.
+        cases = small_plan(alphas=tuple(0.001 * i for i in range(1100)), bump=BUMP)
+        block = math.ceil(len(cases) / (select.PIPE_BUF // 4))
+        assert block > 1
+        monkeypatch.setattr(lab, "_sweep_case", trivial_row)
+        serial = run_sweep(cases, 1)
+        killed = kill_the_first_forked_case(monkeypatch, tmp_path, trivial_row)
+        rows = run_sweep(cases, 2)
+        first = killed_case_index(cases, killed)
+        lost = [i for i, row in enumerate(rows) if row.verdict == TOLERANCE_FAILURE]
+        assert first % block == 0 and lost == list(range(first, first + block))
+        for i in lost:
+            assert rows[i].detail.startswith("worker lost: worker ")
+            assert rows[i].detail.endswith(f"killed by signal {signal.SIGKILL.value}")
+        assert rows[:first] + rows[first + block:] == serial[:first] + serial[first + block:]
 
     def test_plan_of_more_tickets_than_a_pipe_holds_finishes(self, monkeypatch):
-        # A Linux pipe holds 64 KiB, so 16,384 four-byte tickets.
+        # More cases than a Linux pipe's 64 KiB holds four-byte tickets; in
+        # blocks of 17 cases they go out as 965 tickets.
         monkeypatch.setattr(lab, "_sweep_case", trivial_row)
         cases = small_plan(alphas=tuple(0.001 * i for i in range(16_400)), bump=BUMP)
         assert run_sweep(cases, 2) == [trivial_row(case) for case in cases]
 
-    def test_ticket_put_back_after_the_pipe_ran_empty_is_still_run(self, monkeypatch, tmp_path):
-        # The pipe starts with `ahead` tickets, and the worker that takes
-        # ticket i puts back ticket i + ahead while that is a case. Here the
-        # worker that puts back the last case's ticket stalls until the other
-        # worker has found the pipe empty and stopped, so it must run that
-        # case itself.
-        ahead = select.PIPE_BUF // 4
-        cases = small_plan(alphas=tuple(0.001 * i for i in range(ahead + 76)), bump=BUMP)
-        last = len(cases) - 1
-        read, write = os.read, os.write
-
-        def marking_read(fd, size):
-            try:
-                return read(fd, size)
-            except BlockingIOError:
-                (tmp_path / f"empty-{os.getpid()}").touch()
-                raise
-
-        def stalling_write(fd, data):
-            if len(data) == 4 and struct.unpack("=I", data)[0] == last:
-                deadline = time.monotonic() + 10.0
-                while not [f for f in tmp_path.glob("empty-*") if f.name != f"empty-{os.getpid()}"]:
-                    assert time.monotonic() < deadline, "no other worker found the ticket pipe empty"
-                    time.sleep(0.001)
-                (tmp_path / "stalled").touch()
-            return write(fd, data)
-
-        # A case's row is its alpha: small enough that the other worker's
-        # unread rows fit in its pipe, so it never waits to send while this
-        # worker stalls.
-        monkeypatch.setattr(lab, "_sweep_case", lambda case: case[0])
-        monkeypatch.setattr(os, "read", marking_read)
-        monkeypatch.setattr(os, "write", stalling_write)
-        assert run_sweep(cases, 2) == [alpha for alpha, _, _ in cases]
-        assert (tmp_path / "stalled").exists()
+    def test_empty_case_list_forks_nothing(self, monkeypatch):
+        # No case still means one case per ticket, not a block of none. The
+        # autouse fixture checks that the ticket pipe is closed and the heap
+        # unfrozen.
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        assert run_sweep((), 2) == []
+        assert forks == []
 
     def test_crashing_case_becomes_tolerance_failure_row(self, monkeypatch):
         bad = GaussianBump(mass=1.0, width=0.125)
