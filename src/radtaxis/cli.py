@@ -1,12 +1,11 @@
 """Command-line front end: simulate, sweep, verify, plot.
 
 Exit codes: 0 success, 1 tolerance/numerical failure anywhere, 2 config
-error, 3 I/O error. Diagnostics go to stderr; data products go to files or
-stdout only.
+or usage error, 3 I/O error. Diagnostics go to stderr; data products go to
+files or stdout only.
 """
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
@@ -42,49 +41,9 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 
 
-def _worker_count(text: str) -> int:
-    """--workers: an integer >= 1, checked here so a bad count exits before
-    the sweep makes --out."""
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"workers must be >= 1, got {count}")
-    return count
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="radtaxis",
-        description="Radial finite-volume laboratory for a chemotaxis-consumption system",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = sub.add_parser("simulate", help="run one case and write CSV/report files")
-    p_sim.add_argument("--config", required=True, help="run config file")
-    p_sim.add_argument("--out", required=True, help="output directory")
-
-    p_sweep = sub.add_parser("sweep", help="run an alpha sweep plan")
-    p_sweep.add_argument("--plan", required=True, help="sweep plan file")
-    p_sweep.add_argument("--out", required=True, help="output directory")
-    p_sweep.add_argument("--workers", type=_worker_count, default=os.cpu_count() or 1,
-                         help="worker count (default: the CPU count, capped at the case count)")
-
-    p_verify = sub.add_parser("verify", help="run the invariant verification suite")
-    p_verify.add_argument("--config", required=True, help="run config file")
-
-    p_plot = sub.add_parser("plot", help="render an SVG line chart from a CSV")
-    p_plot.add_argument("--csv", required=True, help="input CSV (x axis = first column)")
-    p_plot.add_argument("--cols", required=True, help="comma-separated column names to plot")
-    p_plot.add_argument("--out", required=True, help="output .svg path")
-
-    return parser
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    out_dir = Path(args.out)
+def _cmd_simulate(config: str, out: str) -> int:
+    config = load_config(config)
+    out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     report = run_case(config)
@@ -102,11 +61,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_TOLERANCE if report.verdict.kind == TOLERANCE_FAILURE else EXIT_OK
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    cases = parse_plan(args.plan)
-    out_dir = Path(args.out)
+def _cmd_sweep(plan: str, out: str, workers: int | None) -> int:
+    cases = parse_plan(plan)
+    out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = run_sweep(cases, args.workers)
+    rows = run_sweep(cases, workers or os.cpu_count() or 1)
     write_sweep_csv(rows, out_dir / "sweep.csv")
     write_sweep_timings(rows, out_dir / "sweep_timings.csv")
     for row in rows:
@@ -119,39 +78,95 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_TOLERANCE if failed else EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+def _cmd_verify(config: str) -> int:
+    config = load_config(config)
     checks = verify_suite(config)
     for check in checks:
         print(check.line())
     return EXIT_OK if all(c.passed for c in checks) else EXIT_TOLERANCE
 
 
-def _cmd_plot(args: argparse.Namespace) -> int:
+def _cmd_plot(csv: str, cols: str, out: str) -> int:
     from .svg import read_table, render_svg  # only plot pays for its import
-    table = read_table(args.csv)
-    columns = [c.strip() for c in args.cols.split(",") if c.strip()]
+    table = read_table(csv)
+    columns = [c.strip() for c in cols.split(",") if c.strip()]
     if not columns:
         raise ConfigError("--cols must name at least one column")
-    render_svg(table, columns, args.out)
+    render_svg(table, columns, out)
     return EXIT_OK
 
 
+# One row per command: its handler, help line, required flags, and optional flags with their defaults.
+_COMMANDS = {
+    "simulate": (_cmd_simulate, "run one case; write its CSV and report files into OUT", ("config", "out"), {}),
+    "sweep": (_cmd_sweep, "run a sweep plan on WORKERS processes (default: one per CPU)", ("plan", "out"),
+              {"workers": None}),
+    "verify": (_cmd_verify, "run the invariant verification suite on a run config", ("config",), {}),
+    "plot": (_cmd_plot, "chart CSV's comma-separated COLS against its first column in the SVG file OUT",
+             ("csv", "cols", "out"), {}),
+}
+
+
+def _usage(command: str | None) -> str:
+    """The help of `command`, or of the program for None; its first line is the usage."""
+    if command is None:
+        rows = "".join(f"\n  {name:<10}{row[1]}" for name, row in _COMMANDS.items())
+        return f"usage: radtaxis {{{','.join(_COMMANDS)}}} --flag value ...\n{rows}"
+    _, help_line, required, optional = _COMMANDS[command]
+    flags = [f"--{f} {f.upper()}" for f in required] + [f"[--{f} {f.upper()}]" for f in optional]
+    return f"usage: radtaxis {command} {' '.join(flags)}\n\n{help_line}"
+
+
+class _Usage(Exception):
+    """Stops parsing; args: the command whose usage applies (None: all) and the error (None: -h)."""
+
+
+def _parse(argv: list[str]) -> tuple[str, dict]:
+    """The command and its flags, each given once as `--flag value` or
+    `--flag=value`; optional flags not given take their defaults."""
+    if not argv or argv[0] in ("-h", "--help"):
+        raise _Usage(None, None if argv else "a command is required")
+    command, rest = argv[0], list(argv[1:])
+    if command not in _COMMANDS:
+        raise _Usage(None, f"unknown command {command!r}")
+    _, _, required, optional = _COMMANDS[command]
+    flags = {}
+    while rest:
+        arg = rest.pop(0)
+        if arg in ("-h", "--help"):
+            raise _Usage(command, None)
+        name, eq, value = arg[2:].partition("=")
+        if not arg.startswith("--") or (name not in required and name not in optional):
+            raise _Usage(command, f"unrecognized argument {arg!r}")
+        if name in flags:
+            raise _Usage(command, f"--{name} is given more than once")
+        if not eq and (not rest or rest[0].startswith("--")):
+            raise _Usage(command, f"--{name} expects a value")
+        value = value if eq else rest.pop(0)
+        try:  # --workers is checked here, so a bad count exits before the sweep makes --out
+            flags[name] = int(value) if name == "workers" else value
+        except ValueError:
+            raise _Usage(command, f"--workers: invalid int value: {value!r}") from None
+        if name == "workers" and flags[name] < 1:
+            raise _Usage(command, f"--workers: workers must be >= 1, got {flags[name]}")
+    if missing := [f"--{f}" for f in required if f not in flags]:
+        raise _Usage(command, f"the following flags are required: {', '.join(missing)}")
+    return command, {**optional, **flags}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    handlers = {
-        "simulate": _cmd_simulate,
-        "sweep": _cmd_sweep,
-        "verify": _cmd_verify,
-        "plot": _cmd_plot,
-    }
+        command, flags = _parse(sys.argv[1:] if argv is None else argv)
+    except _Usage as stop:
+        command, reason = stop.args
+        if reason is None:
+            print(_usage(command))
+            return EXIT_OK
+        print(_usage(command).split("\n", 1)[0], f"radtaxis: error: {reason}", sep="\n", file=sys.stderr)
+        return EXIT_CONFIG
     try:
-        return handlers[args.command](args)
-    except (ConfigError, UnicodeDecodeError) as exc:  # the latter: an input file that is not UTF-8
+        return _COMMANDS[command][0](**flags)
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

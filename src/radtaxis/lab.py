@@ -25,7 +25,7 @@ from typing import BinaryIO, Iterator, Sequence
 import numpy as np
 
 from .elliptic import boundary_flux_bound, solve_v, vr_from_integral
-from .errors import ConfigError
+from .errors import ConfigError, read_utf8
 from .grid import Geometry, RadialGrid, RadialProfile, format_float, integrate, lp_norm, write_csv
 from .model import (
     BoundaryDatum,
@@ -620,7 +620,7 @@ def parse_plan(path: str | Path) -> tuple[tuple[float, str, RunConfig], ...]:
     """
     path = Path(path)
     source = str(path)
-    entries = parse_flat_keys(path.read_text(encoding="utf-8"), source, _PLAN_KEYS,
+    entries = parse_flat_keys(read_utf8(path), source, _PLAN_KEYS,
                               ("base", "alphas", "variant"), repeatable={"variant"})
     base = _override(load_config((path.parent / entries["base"]).resolve()), entries, source)
     alphas = tuple(sorted(_parse_floats(entries, "alphas", source)))

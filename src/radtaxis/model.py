@@ -14,7 +14,7 @@ from typing import Collection, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, read_utf8
 from .grid import Geometry, RadialGrid, RadialProfile, integrate
 
 
@@ -309,7 +309,7 @@ def load_config(path: str | Path) -> RunConfig:
     """Read a run-config file in the flat key=value format."""
     path = Path(path)
     source = str(path)
-    entries = parse_flat_keys(path.read_text(encoding="utf-8"), source, _CONFIG_KEYS, _REQUIRED_KEYS)
+    entries = parse_flat_keys(read_utf8(path), source, _CONFIG_KEYS, _REQUIRED_KEYS)
     config = RunConfig(
         geometry=Geometry(n=_parse_int(entries, "n", source), R=_parse_float(entries, "R", source)),
         diffusion=DiffusionLaw(

@@ -8,11 +8,12 @@ than three decades (and are all positive).
 from __future__ import annotations
 
 import csv
+import io
 import math
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, read_utf8
 
 WIDTH = 760
 HEIGHT = 480
@@ -34,7 +35,7 @@ def read_table(path: str | Path) -> dict[str, list[float]]:
     Empty lines are skipped; an unparseable cell reads as NaN.
     """
     path = Path(path)
-    with path.open("r", newline="", encoding="utf-8") as fh:
+    with io.StringIO(read_utf8(path), newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -75,10 +76,15 @@ def _fmt(value: float) -> str:
     return format(value, ".4g")
 
 
+def _escape(text: str) -> str:
+    """`text` as XML character data. xml.sax.saxutils.escape does the same,
+    but importing it loads urllib.request, ssl, email and locale."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_svg(table: Mapping[str, Sequence[float]], columns: Sequence[str],
                path: str | Path) -> None:
     """Write a line chart of the named columns against the table's first column."""
-    from xml.sax.saxutils import escape  # loads urllib.request and ssl, so only plot pays for it
     names = list(table.keys())
     if not names:
         raise ConfigError("cannot plot an empty table")
@@ -154,7 +160,7 @@ def render_svg(table: Mapping[str, Sequence[float]], columns: Sequence[str],
         )
     parts.append(
         f'<text x="{(MARGIN_LEFT + WIDTH - MARGIN_RIGHT) / 2:.2f}" y="{HEIGHT - 8}" '
-        f'font-size="13" text-anchor="middle">{escape(x_name)}</text>'
+        f'font-size="13" text-anchor="middle">{_escape(x_name)}</text>'
     )
     if log_y:
         parts.append(
@@ -175,7 +181,7 @@ def render_svg(table: Mapping[str, Sequence[float]], columns: Sequence[str],
             f'stroke="{color}" stroke-width="1.5"/>'
         )
         parts.append(
-            f'<text x="{legend_x + 30}" y="{legend_y}" font-size="12">{escape(name)}</text>'
+            f'<text x="{legend_x + 30}" y="{legend_y}" font-size="12">{_escape(name)}</text>'
         )
 
     parts.append("</svg>")

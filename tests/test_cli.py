@@ -1,5 +1,6 @@
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from radtaxis import lab
-from radtaxis.cli import main
+from radtaxis.cli import _parse, main
 from radtaxis.errors import ConfigError
 from radtaxis.grid import RadialGrid
 from radtaxis.svg import read_table, render_svg
@@ -85,6 +86,46 @@ def test_a_command_builds_each_grid_once(tmp_path, config_path, grid_builds, com
     argv = ["--config", str(config_path)] + (["--out", str(tmp_path / "o")] if command == "simulate" else [])
     assert main([command] + argv) == 0
     assert len(grid_builds) == builds
+
+
+@pytest.mark.parametrize("argv, code, stream, fragment", [
+    ([], 2, "err", "a command is required"),
+    (["frobnicate"], 2, "err", "unknown command 'frobnicate'"),
+    (["simulate", "--config", "{cfg}"], 2, "err", "required: --out"),
+    (["simulate", "--config", "{cfg}", "--out"], 2, "err", "--out expects a value"),
+    (["simulate", "--config", "--out", "{out}"], 2, "err", "--config expects a value"),
+    (["verify", "--config", "{cfg}", "--frobnicate", "x"], 2, "err", "unrecognized argument '--frobnicate'"),
+    (["verify", "--conf", "{cfg}"], 2, "err", "unrecognized argument '--conf'"),
+    (["verify", "--config", "{cfg}", "stray"], 2, "err", "unrecognized argument 'stray'"),
+    (["verify", "--config", "{cfg}", "--config", "{cfg}"], 2, "err", "--config is given more than once"),
+    (["sweep", "--plan", "{cfg}", "--out", "{out}", "--workers", "x"], 2, "err", "invalid int value: 'x'"),
+    (["sweep", "--plan", "{cfg}", "--out", "{out}", "--workers=0"], 2, "err", "workers must be >= 1, got 0"),
+    (["-h"], 0, "out", "{simulate,sweep,verify,plot}"),
+    (["--help"], 0, "out", "\n  plot "),
+    (["sweep", "-h"], 0, "out", "radtaxis sweep --plan PLAN --out OUT [--workers WORKERS]"),
+    (["plot", "--csv", "x.csv", "--help"], 0, "out", "radtaxis plot --csv CSV --cols COLS --out OUT"),
+    (["verify", "--config={cfg}"], 0, "out", "CHECK grid_volume_identity pass"),
+], ids=["no_arguments", "unknown_command", "missing_flag", "no_value_at_end", "flag_as_value", "unknown_flag",
+        "prefix_abbreviation", "stray_word", "repeated_flag", "workers_not_int", "workers_zero", "top_h",
+        "top_help", "command_h", "command_help_after_flags", "flag_equals_value"])
+def test_command_line_parsing(tmp_path, config_path, capsys, argv, code, stream, fragment):
+    out = tmp_path / "o"
+    assert main([arg.format(cfg=config_path, out=out) for arg in argv]) == code
+    streams = dict(zip(("out", "err"), capsys.readouterr()))
+    assert fragment in streams[stream]
+    assert not streams["err" if stream == "out" else "out"]
+    if stream == "err" or argv[-1] in ("-h", "--help"):
+        assert streams[stream].startswith("usage: radtaxis ")
+    assert not out.exists()
+
+
+def test_every_readme_command_line_parses():
+    section = (ROOT / "README.md").read_text().split("## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line) for line in block.splitlines() if line.startswith("radtaxis ")]
+    assert len(lines) == 4
+    for words in lines:
+        assert _parse(words[1:])[0] == words[1]
 
 
 class TestSimulate:
@@ -276,6 +317,27 @@ def test_input_that_is_not_utf8_exits_2_before_out_exists(tmp_path, command, nam
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, name, named", [("verify", "bad.cfg", "bad.cfg"),
+                                                  ("sweep", "bad.plan", "bad.plan"),
+                                                  ("sweep", "bad_base.plan", "bad.cfg"),
+                                                  ("plot", "bad.csv", "bad.csv")])
+def test_input_that_is_not_utf8_is_named_in_the_message(tmp_path, command, name, named, capsys):
+    # A plan's base config is read while the plan is, so the message must say
+    # which of the two files holds the bad byte.
+    (tmp_path / "bad.cfg").write_bytes(GOOD.encode() + b"n = 2\xff\n")
+    (tmp_path / "bad.plan").write_bytes(b"base = bad.cfg\nalphas = 0.5\xff\n")
+    (tmp_path / "bad_base.plan").write_text("base = bad.cfg\nalphas = 0.5\nvariant = flat constant mass=1\n")
+    (tmp_path / "bad.csv").write_bytes(b"t,a\n0,1\xff\n")
+    flag = {"verify": "--config", "sweep": "--plan", "plot": "--csv"}[command]
+    out = {"verify": [], "sweep": ["--out", str(tmp_path / "o")],
+           "plot": ["--cols", "a", "--out", str(tmp_path / "o")]}[command]
+    assert main([command, flag, str(tmp_path / name), *out]) == 2
+    err = capsys.readouterr().err
+    reason = "'utf-8' codec can't decode byte 0xff"
+    assert err.startswith(f"config error: {tmp_path / named}: not UTF-8 text: {reason}")
+    assert not (tmp_path / "o").exists()
+
+
 def test_ball_of_dimension_100_still_runs(tmp_path):
     # The first stable dt is 8.4e12 here, and the run still stops on t_end.
     cfg = edited_default(tmp_path / "n100.cfg", {**CONSTANT_DATA, "n": "100", "t_end": "0.0001"})
@@ -289,6 +351,27 @@ def test_cli_import_leaves_svg_unloaded():
     result = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_commands_load_no_argparse_gettext_or_locale(tmp_path):
+    # The command line parses its flags itself: argparse's messages go through
+    # gettext, which imports locale on its first lookup. plot escapes its
+    # labels itself: xml.sax.saxutils imports urllib.request, whose email
+    # package imports locale too. A fresh interpreter, because pytest loads
+    # all three; any that numpy loads itself are excused.
+    cfg = edited_default(tmp_path / "short.cfg", {"t_end": "1e-4"})
+    (tmp_path / "p.plan").write_text("base = short.cfg\nalphas = 0.5\nvariant = flat constant mass=1\n")
+    commands = [["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")],
+                ["plot", "--csv", str(tmp_path / "sim" / "trace.csv"), "--cols", "linf",
+                 "--out", str(tmp_path / "t.svg")],
+                ["sweep", "--plan", str(tmp_path / "p.plan"), "--out", str(tmp_path / "sweep"), "--workers", "1"],
+                ["verify", "--config", str(cfg)], ["frobnicate"]]
+    script = ("import sys, numpy; names = {'argparse', 'gettext', 'locale'}; "
+              "by_numpy = names & set(sys.modules); from radtaxis.cli import main; "
+              f"print(*(main(argv) for argv in {commands!r}), sorted(names & set(sys.modules) - by_numpy))")
+    result = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines()[-1].split() == ["0", "0", "0", "0", "2", "[]"]
 
 
 def test_verify_leaves_numpy_random_unloaded():
