@@ -6,7 +6,8 @@ second-order accurate; the boundary flux dv/dnu is a primary diagnostic.
 
 The absorption term is lumped on the diagonal, so for u >= 0 the system
 matrix is an M-matrix and the discrete solution inherits 0 <= v <= M and
-radial monotonicity by construction.
+radial monotonicity by construction. `verify.vr_from_integral`, the
+integral representation of the gradient, cross-checks this solve's.
 """
 from __future__ import annotations
 
@@ -88,28 +89,6 @@ def solve_v(u: RadialProfile, boundary: BoundaryDatum) -> EllipticSolution:
     inner = np.subtract(v[1:], v[:-1], out=vr[1:-1])
     np.divide(inner, dr, out=inner)
     return EllipticSolution(v=v, vr_faces=vr, residual=worst)
-
-
-def vr_from_integral(u: RadialProfile, v: np.ndarray) -> np.ndarray:
-    """Face gradients of v from the cumulative integral representation.
-
-    d_r(r^{n-1} v_r) = r^{n-1} u v integrates to
-    v_r(r) = r^{1-n} * int_0^r rho^{n-1} u v d(rho); evaluated by cumulative
-    midpoint quadrature over cells. Independent of the tridiagonal solve, so
-    it serves as a cross-check of the primal gradient, never as its source.
-
-    For n <= 2 the midpoint weight r_i^{n-1} dr equals the exact cell volume
-    over omega, so this reproduces the scheme's telescoped gradient to
-    round-off; the O(dr^2) quadrature gap only opens up for n >= 3.
-    """
-    grid = u.grid
-    exponent = grid.geometry.n - 1
-    integrand = grid.center_radii ** exponent * u.values * v
-    cumulative = np.cumsum(integrand) * grid.dr
-    out = np.empty(grid.n_cells + 1)
-    out[0] = 0.0
-    out[1:] = cumulative / grid.face_radii[1:] ** exponent
-    return out
 
 
 def boundary_flux_bound(u0_mass: float, geometry: Geometry) -> float:

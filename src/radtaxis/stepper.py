@@ -32,7 +32,7 @@ both schemes; a single step takes any dt.
 The kernels form their intermediates in the work arrays of the state's grid
 (`RadialGrid.face_work` and `cell_work`), so a step allocates only the new
 state's arrays and the fluxes. No array that a function here returns, and no
-array that a state holds, is a work array: `lab.paired_separation` takes
+array that a state holds, is a work array: `verify.paired_separation` takes
 `face_flux` of two states on one grid before it steps either of them. The
 private helpers `_transfer_rates` and `_implicit_matrix` are the exception;
 they return work arrays for the next kernel of the same step to consume.

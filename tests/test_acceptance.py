@@ -12,16 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radtaxis.elliptic import boundary_flux_bound, solve_v, vr_from_integral
+from radtaxis.elliptic import boundary_flux_bound, solve_v
 from radtaxis.grid import Geometry, RadialGrid, RadialProfile
 from radtaxis.lab import (
     BLOWUP_SUSPECTED,
     BOUNDED,
-    _ls_order,
-    _max_principle_gaps,
-    _oracle_error,
-    _representation_gap,
-    paired_separation,
     parse_plan,
     run_case,
     run_sweep,
@@ -37,6 +32,14 @@ from radtaxis.model import (
     load_config,
 )
 from radtaxis.stepper import advance, cfl_dt, initial_state, step
+from radtaxis.verify import (
+    _ls_order,
+    _max_principle_gaps,
+    _oracle_error,
+    _representation_gap,
+    paired_separation,
+    vr_from_integral,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 LADDER = (64, 128, 256, 512)

@@ -353,6 +353,30 @@ def test_cli_import_leaves_svg_unloaded():
     assert result.stdout.strip() == "False"
 
 
+def test_only_verify_loads_the_verify_module(tmp_path):
+    # simulate, sweep and plot compile none of the verification suite, and no
+    # module keeps a second import path to its names. A fresh interpreter,
+    # because pytest has loaded the suite.
+    cfg = edited_default(tmp_path / "short.cfg", {"t_end": "1e-4"})
+    (tmp_path / "p.plan").write_text("base = short.cfg\nalphas = 0.5\nvariant = flat constant mass=1\n")
+    commands = [["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")],
+                ["sweep", "--plan", str(tmp_path / "p.plan"), "--out", str(tmp_path / "sweep"), "--workers", "1"],
+                ["plot", "--csv", str(tmp_path / "sim" / "trace.csv"), "--cols", "linf",
+                 "--out", str(tmp_path / "t.svg")],
+                ["verify", "--config", str(cfg)]]
+    script = ("import sys\n"
+              "from radtaxis import cli, elliptic, lab\n"
+              "print('radtaxis.verify' in sys.modules)\n"
+              f"for argv in {commands!r}:\n"
+              "    print(cli.main(argv), 'radtaxis.verify' in sys.modules)\n"
+              "print(*(hasattr(module, name) for module, name in ((lab, 'verify_suite'), "
+              "(lab, 'paired_separation'), (elliptic, 'vr_from_integral'))))\n")
+    result = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                            capture_output=True, text=True, check=True)
+    lines = [line for line in result.stdout.splitlines() if not line.startswith("CHECK ")]
+    assert lines == ["False", "0 False", "0 False", "0 False", "0 True", "False False False"]
+
+
 def test_commands_load_no_argparse_gettext_or_locale(tmp_path):
     # The command line parses its flags itself: argparse's messages go through
     # gettext, which imports locale on its first lookup. plot escapes its

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from radtaxis.elliptic import boundary_flux_bound, solve_v, vr_from_integral
+from radtaxis.elliptic import boundary_flux_bound, solve_v
 from radtaxis.errors import RadtaxisError
 from radtaxis.grid import Geometry, RadialGrid, RadialProfile, integrate
 from radtaxis.model import BoundaryDatum
+from radtaxis.verify import vr_from_integral
 
 
 def constant_profile(n, R, cells, level):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radtaxis import lab, stepper
+from radtaxis import lab, stepper, verify
 from radtaxis.elliptic import solve_v
 from radtaxis.errors import ConfigError, RadtaxisError
 from radtaxis.grid import Geometry, RadialProfile, format_float
@@ -21,12 +21,10 @@ from radtaxis.lab import (
     INCONCLUSIVE,
     TOLERANCE_FAILURE,
     OnlineChecker,
-    paired_separation,
     parse_plan,
     report_lines,
     run_case,
     run_sweep,
-    verify_suite,
     write_sweep_csv,
     write_trace_csv,
 )
@@ -40,6 +38,7 @@ from radtaxis.model import (
     load_config,
 )
 from radtaxis.stepper import SimState, face_flux, initial_state, make_record
+from radtaxis.verify import paired_separation, verify_suite
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -251,34 +250,48 @@ class TestVerifySuite:
     def test_failed_zero_data_step_fails_its_check(self, monkeypatch):
         # A step that fails on zero data is what zero_fixed_point exists to
         # catch: the suite reports it as a failed check, not an exception.
-        real_step = lab.step
+        real_step = verify.step
 
         def failing_on_zero(state, config, dt, flux=None):
             if not state.u.values.any():
                 return stepper.StepOutcome(stepper.StepStatus.NUMERICAL_FAILURE, message="injected")
             return real_step(state, config, dt, flux)
 
-        monkeypatch.setattr(lab, "step", failing_on_zero)
+        monkeypatch.setattr(verify, "step", failing_on_zero)
         checks = verify_suite(make_config(cells=64, t_end=1e-3))
         assert len(checks) == 18
         zero = next(c for c in checks if c.name == "zero_fixed_point")
         assert not zero.passed and math.isnan(zero.measured)
         assert [c.name for c in checks if not c.passed] == ["zero_fixed_point"]
 
+    def test_zero_horizon_fails_the_checks_of_no_step(self, tmp_path):
+        # A short run that accepts no step measures nothing: its four online
+        # checks and the determinism rerun fail with no measurement, and
+        # verify exits 1. zero_fixed_point and separation_growth march their
+        # own steps.
+        from radtaxis.cli import main
+        config = make_config(t_end=0.0)
+        failed = [c for c in verify_suite(config) if not c.passed]
+        assert [c.name for c in failed] == ["mass_conservation", "signal_bounds", "boundary_flux_bound",
+                                            "positivity", "trajectory_determinism"]
+        assert all(math.isnan(c.measured) for c in failed)
+        (tmp_path / "zero.cfg").write_text(config_to_text(config))
+        assert main(["verify", "--config", str(tmp_path / "zero.cfg")]) == 1
+
     def test_oracle_order_slope_matches_polyfit(self):
         # The closed-form slope against numpy's least-squares fit, on the
         # errors that signal_oracle_n1_order fits.
         ladder = (64, 128, 256, 512)
-        errors = [lab._oracle_error(1, 1.0, cells, lab._exact_n1) for cells in ladder]
+        errors = [verify._oracle_error(1, 1.0, cells, verify._exact_n1) for cells in ladder]
         reference = np.polyfit(np.log(1.0 / np.asarray(ladder, float)), np.log(errors), 1)[0]
-        assert lab._ls_order(ladder, errors) == pytest.approx(reference, rel=1e-12, abs=0.0)
+        assert verify._ls_order(ladder, errors) == pytest.approx(reference, rel=1e-12, abs=0.0)
 
     def test_slope_of_a_noisy_line_matches_polyfit(self):
         rng = np.random.default_rng(5)
         x = np.sort(rng.uniform(0.0, 3.0, 300))
         y = -1.3 * x + 0.7 + rng.normal(0.0, 0.1, 300)
         reference = np.polyfit(x, y, 1)[0]
-        assert lab._ls_slope(x, y) == pytest.approx(reference, rel=1e-12, abs=0.0)
+        assert verify._ls_slope(x, y) == pytest.approx(reference, rel=1e-12, abs=0.0)
 
     def test_check_line_format(self):
         config = make_config(cells=64, t_end=1e-3)
