@@ -41,10 +41,11 @@ class EllipticSolution:
 def solve_v(u: RadialProfile, boundary: BoundaryDatum) -> EllipticSolution:
     """Solve the absorption equation for the current density profile.
 
-    Flux form: A_{i+1/2} (v_{i+1} - v_i)/dr balanced against V_i u_i v_i in
-    every cell, one LAPACK dptsv solve of the negated symmetric tridiagonal
-    system, no iteration. The unknown is the deficit w = M - v, with
-    right-hand side M V u, so zero density gives w = 0 and v = M exactly.
+    Flux form: A_{i+1/2} (v_{i+1} - v_i) / h_{i+1/2}, h being the grid's
+    `center_gaps`, balanced against V_i u_i v_i in every cell, one LAPACK
+    dptsv solve of the negated symmetric tridiagonal system, no iteration.
+    The unknown is the deficit w = M - v, with right-hand side M V u, so
+    zero density gives w = 0 and v = M exactly.
     The face gradients returned are exactly the differences the transport
     stepper consumes, so both modules share one discrete gradient.
 
@@ -53,7 +54,6 @@ def solve_v(u: RadialProfile, boundary: BoundaryDatum) -> EllipticSolution:
     dptsv fail); both raise RadtaxisError.
     """
     grid = u.grid
-    dr = grid.dr
     M = boundary.M
     vu, d, residual = grid.cell_work
     product = grid.face_work[0]
@@ -84,10 +84,10 @@ def solve_v(u: RadialProfile, boundary: BoundaryDatum) -> EllipticSolution:
 
     vr = np.empty(grid.n_cells + 1)
     vr[0] = 0.0
-    vr[-1] = 2.0 * w[-1] / dr
+    vr[-1] = w[-1] / grid.center_gaps[-1]  # (M - v_N) over the centre-to-wall gap
     v = np.subtract(M, w, out=w)
     inner = np.subtract(v[1:], v[:-1], out=vr[1:-1])
-    np.divide(inner, dr, out=inner)
+    np.divide(inner, grid.center_gaps[1:-1], out=inner)
     return EllipticSolution(v=v, vr_faces=vr, residual=worst)
 
 

@@ -16,10 +16,11 @@ class ConfigError(RadtaxisError):
 
 
 def read_utf8(path: Path) -> str:
-    """The text of an input file, line endings untouched. A file that is not
-    UTF-8 is a ConfigError that names it and keeps the codec's reason."""
+    """The text of an input file, line endings untouched and a leading
+    byte-order mark dropped. A file that is not UTF-8 is a ConfigError that
+    names it and keeps the codec's reason."""
     data = path.read_bytes()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None

@@ -74,11 +74,17 @@ class Geometry:
 
 
 class RadialGrid:
-    """Uniform cell-centered mesh, n_cells >= 2: faces at i*dr, centers at (i - 1/2)*dr."""
+    """Cell-centered mesh, n_cells >= 2: faces at i*dr, centers at (i - 1/2)*dr.
 
-    __slots__ = ("geometry", "n_cells", "dr", "face_radii", "center_radii", "volumes", "face_areas",
-                 "conductances", "inner_face_areas", "inner_conductances", "signal_diagonal",
-                 "signal_offdiagonal", "face_work", "cell_work")
+    The mesh is uniform, and this class is the only place that says so: every
+    other module reads the spacing from `cell_widths` (face to face, one per
+    cell) and `center_gaps` (the span of each face's difference quotient:
+    centre to centre inside, centre to face at r = 0 and at r = R).
+    """
+
+    __slots__ = ("geometry", "n_cells", "dr", "face_radii", "center_radii", "cell_widths", "center_gaps",
+                 "volumes", "face_areas", "conductances", "inner_face_areas", "inner_conductances",
+                 "signal_diagonal", "signal_offdiagonal", "face_work", "cell_work")
 
     def __init__(self, geometry: Geometry, n_cells: int):
         self.geometry = geometry
@@ -88,6 +94,11 @@ class RadialGrid:
         # arange/N hits 1.0 exactly at the last face, so face_radii[-1] == R.
         self.face_radii = R * (np.arange(n_cells + 1) / n_cells)
         self.center_radii = R * ((np.arange(n_cells) + 0.5) / n_cells)
+        # Filled from dr, not differenced from face_radii, whose differences
+        # are not exactly R/N.
+        self.cell_widths = np.full(n_cells, self.dr)
+        self.center_gaps = np.full(n_cells + 1, self.dr)
+        self.center_gaps[[0, -1]] = 0.5 * self.dr
         omega = geometry.surface_coefficient
         self.volumes = (omega / n) * np.diff(self.face_radii ** n)
         self.face_areas = omega * self.face_radii ** (n - 1)
@@ -106,9 +117,9 @@ class RadialGrid:
         self.inner_conductances = self.conductances[1:-1]
         self.signal_diagonal = self.conductances[:-1] + self.conductances[1:]
         self.signal_offdiagonal = -self.inner_conductances
-        for arr in (self.face_radii, self.center_radii, self.volumes, self.face_areas, self.conductances,
-                    self.inner_face_areas, self.inner_conductances, self.signal_diagonal,
-                    self.signal_offdiagonal):
+        for arr in (self.face_radii, self.center_radii, self.cell_widths, self.center_gaps, self.volumes,
+                    self.face_areas, self.conductances, self.inner_face_areas, self.inner_conductances,
+                    self.signal_diagonal, self.signal_offdiagonal):
             arr.flags.writeable = False
         # Work arrays of the kernels: three on the interior faces, three on the cells.
         self.face_work = tuple(np.empty((3, n_cells - 1)))

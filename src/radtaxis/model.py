@@ -123,7 +123,7 @@ def sample_initial(data: InitialData, grid: RadialGrid) -> RadialProfile:
         elif data.mass == 0.0:
             values = np.zeros(grid.n_cells)
         else:
-            half = 0.5 * grid.dr
+            half = 0.5 * grid.cell_widths
             mid = grid.center_radii
             exponent = grid.geometry.n - 1
             cell_integrals = np.zeros(grid.n_cells)

@@ -57,14 +57,15 @@ def vr_from_integral(u: RadialProfile, v: np.ndarray) -> np.ndarray:
     midpoint quadrature over cells. Independent of the tridiagonal solve, so
     it serves as a cross-check of the primal gradient, never as its source.
 
-    For n <= 2 the midpoint weight r_i^{n-1} dr equals the exact cell volume
-    over omega, so this reproduces the scheme's telescoped gradient to
-    round-off; the O(dr^2) quadrature gap only opens up for n >= 3.
+    For n <= 2, with centres at the cell midpoints, the midpoint weight
+    r_i^{n-1} h_i (h being the grid's `cell_widths`) equals the exact cell
+    volume over omega, so this reproduces the scheme's telescoped gradient to
+    round-off; the O(h^2) quadrature gap only opens up for n >= 3.
     """
     grid = u.grid
     exponent = grid.geometry.n - 1
     integrand = grid.center_radii ** exponent * u.values * v
-    cumulative = np.cumsum(integrand) * grid.dr
+    cumulative = np.cumsum(integrand * grid.cell_widths)
     out = np.empty(grid.n_cells + 1)
     out[0] = 0.0
     out[1:] = cumulative / grid.face_radii[1:] ** exponent
@@ -72,12 +73,13 @@ def vr_from_integral(u: RadialProfile, v: np.ndarray) -> np.ndarray:
 
 
 def _representation_gap(n: int, cells: int) -> float:
-    """Discrete L2(ball) distance between the two face-gradient computations."""
+    """Discrete L2(ball) distance between the two face-gradient computations,
+    each face weighted by its area times its `center_gaps` span."""
     grid = RadialGrid(Geometry(n=n, R=1.0), cells)
     u = RadialProfile(grid, 5.0 * np.exp(-((grid.center_radii / 0.3) ** 2)))
     solution = solve_v(u, BoundaryDatum(1.0))
     gap = solution.vr_faces - vr_from_integral(u, solution.v)
-    return float(math.sqrt(np.sum(grid.face_areas * grid.dr * gap ** 2)))
+    return float(math.sqrt(np.sum(grid.face_areas * grid.center_gaps * gap ** 2)))
 
 
 def _random_profiles(grid: RadialGrid, count: int, rng: random.Random):

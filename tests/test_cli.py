@@ -338,6 +338,29 @@ def test_input_that_is_not_utf8_is_named_in_the_message(tmp_path, command, name,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep", "plot"])
+def test_input_that_starts_with_a_byte_order_mark_reads_as_without_it(tmp_path, command):
+    # Notepad's "UTF-8 with BOM" writes EF BB BF first; a sweep reads both
+    # its plan and its base config, so both carry the mark. Every output but
+    # the wall times must match byte for byte.
+    outputs = {}
+    for kind, head in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        d = tmp_path / kind
+        d.mkdir()
+        (d / "good.cfg").write_bytes(head + GOOD.encode())
+        (d / "good.plan").write_bytes(head + b"base = good.cfg\nalphas = 0.5\n"
+                                      b"variant = flat constant mass=1\n")
+        (d / "good.csv").write_bytes(head + b"t,a\n0,1\n1,3\n")
+        args = {"simulate": ["--config", str(d / "good.cfg")], "sweep": ["--plan", str(d / "good.plan")],
+                "plot": ["--csv", str(d / "good.csv"), "--cols", "a"]}[command]
+        out = d / "o.svg" if command == "plot" else d / "o"
+        assert main([command, *args, "--out", str(out)]) == 0
+        files = [out] if command == "plot" else [f for f in out.iterdir() if f.name != "sweep_timings.csv"]
+        outputs[kind] = {f.name: [line for line in f.read_bytes().splitlines()
+                                  if not line.startswith(b"wall_s")] for f in files}
+    assert outputs["bom"] == outputs["plain"]
+
+
 def test_ball_of_dimension_100_still_runs(tmp_path):
     # The first stable dt is 8.4e12 here, and the run still stops on t_end.
     cfg = edited_default(tmp_path / "n100.cfg", {**CONSTANT_DATA, "n": "100", "t_end": "0.0001"})

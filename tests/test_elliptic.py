@@ -120,6 +120,12 @@ class TestSolve:
             assert np.min(np.diff(v)) >= -tol
             assert solution.vr_faces[0] == 0.0
             assert np.min(solution.vr_faces) >= -1e-12 * M / grid.geometry.R
+            # On a uniform grid the spacing arrays round exactly like dr. At
+            # the wall, M - v_N recovers the solved deficit only to round-off
+            # in M, so the scale of that gap is 2 M / dr.
+            assert np.array_equal(solution.vr_faces[1:-1], (v[1:] - v[:-1]) / grid.dr)
+            wall = 2.0 * (M - v[-1]) / grid.dr
+            assert abs(solution.boundary_flux - wall) <= 1e-15 * 2.0 * M / grid.dr
 
     def test_comparison_monotonicity_in_u(self):
         rng = np.random.default_rng(42)

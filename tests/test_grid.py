@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import re
@@ -73,6 +74,27 @@ def test_volume_telescoping(n, cells):
     assert np.all(grid.volumes > 0.0)
     assert np.all(np.diff(grid.face_radii) > 0.0)
     assert grid.face_radii[-1] == geom.R
+    # The spacing arrays: widths span [0, R], and each face's gap is the
+    # centre-to-centre distance inside and half a cell at either end.
+    assert abs(float(np.sum(grid.cell_widths)) - geom.R) / geom.R <= 1e-13
+    faces, centers = grid.face_radii, grid.center_radii
+    spans = np.concatenate(([centers[0] - faces[0]], np.diff(centers), [faces[-1] - centers[-1]]))
+    np.testing.assert_allclose(grid.center_gaps, spans, rtol=0.0, atol=4.0 * np.finfo(float).eps * geom.R)
+    assert np.array_equal(grid.conductances[1:-1], grid.face_areas[1:-1] / grid.center_gaps[1:-1])
+    assert grid.conductances[0] == 0.0  # at n = 1 too, where the origin face has area 2
+    for arr in (grid.cell_widths, grid.center_gaps):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def test_only_grid_reads_the_uniform_spacing():
+    # Every other module reads cell_widths and center_gaps, so a graded mesh
+    # changes grid.py alone.
+    src = Path(__file__).resolve().parent.parent / "src" / "radtaxis"
+    readers = sorted(path.name for path in src.glob("*.py")
+                     if any(isinstance(node, ast.Attribute) and node.attr == "dr"
+                            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
+    assert readers == ["grid.py"]
 
 
 def test_origin_face_area():
